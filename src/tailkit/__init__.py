@@ -72,6 +72,7 @@ from .tendon import (
     CableRouting,
     TailPose,
     actuation_waveform,
+    bend_antagonistic,
     bend_from_cables,
     cable_lengths,
     route_cables,

@@ -9,8 +9,13 @@ with m_a = rho * pi * tip_span**2 / 4 * added_mass_coeff the virtual
 mass per unit length at the trailing edge, hdot the lateral velocity
 and hx the local midline slope there, and <.> the average over one
 actuation period. Balancing against quadratic body drag
-D = 1/2 * rho * Cd * A * U**2 gives the cruise speed as the root of
-thrust(U) = drag(U).
+D = 1/2 * rho * Cd * A * U**2 gives the cruise speed. Thrust is
+A - B*U**2 and drag is D*U**2, so the balance has the closed form
+U = sqrt(A / (B + D)), and the drag coefficient that hits a measured
+speed follows just as directly.
+
+The kinematics come from one batched bend solve over all actuation
+phases (``tendon.bend_antagonistic``).
 
 This is a desk-scale surrogate, not a flow solver: absolute speeds are
 meaningful only after calibrating the drag coefficient against a
@@ -23,11 +28,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ComputationError, ValidationError
 from .skeleton import SkeletonGraph
-from .tendon import CableRouting, actuation_waveform, bend_from_cables
+from .tendon import CableRouting, actuation_waveform, bend_antagonistic
 
 DEFAULT_N_SAMPLES = 64
 MAX_SPEED_M_S = 2.0
@@ -111,14 +115,17 @@ def sample_kinematics(
     """Solve the bend pose at uniform phases over one actuation period."""
     if n_samples < 16:
         raise ValidationError("need at least 16 samples per period")
+    if not (math.isfinite(frequency) and frequency > 0):
+        raise ValidationError("frequency must be finite and positive")
+    if not (math.isfinite(amplitude) and amplitude >= 0):
+        raise ValidationError("amplitude must be finite and nonnegative")
     period = 1.0 / frequency
     times = [period * j / n_samples for j in range(n_samples)]
-    midlines = []
-    for t in times:
-        cmd = actuation_waveform(amplitude, frequency, t)
-        pose = bend_from_cables(graph, routing, cmd, stiffnesses)
-        midlines.append(pose.midline)
-    return MidlineHistory(times=tuple(times), midlines=tuple(midlines), period=period)
+    deltas = [actuation_waveform(amplitude, frequency, t).delta_top for t in times]
+    poses = bend_antagonistic(graph, routing, deltas, stiffnesses)
+    return MidlineHistory(
+        times=tuple(times), midlines=tuple(p.midline for p in poses), period=period
+    )
 
 
 def _trailing_edge_series(history: MidlineHistory) -> tuple[np.ndarray, np.ndarray]:
@@ -139,6 +146,13 @@ def _trailing_edge_series(history: MidlineHistory) -> tuple[np.ndarray, np.ndarr
     return hdot, hx
 
 
+def _thrust_coefficients(history: MidlineHistory, params: HydroParams) -> tuple[float, float]:
+    """A and B of the mean thrust A - B*U**2."""
+    hdot, hx = _trailing_edge_series(history)
+    m_a = params.rho * math.pi * params.tip_span**2 / 4.0 * params.added_mass_coeff
+    return float(0.5 * m_a * np.mean(hdot**2)), float(0.5 * m_a * np.mean(hx**2))
+
+
 def mean_thrust(history: MidlineHistory, speed: float, params: HydroParams) -> float:
     """Period-averaged trailing-edge thrust at forward speed ``speed``.
 
@@ -147,9 +161,8 @@ def mean_thrust(history: MidlineHistory, speed: float, params: HydroParams) -> f
     """
     if speed < 0:
         raise ValidationError("forward speed cannot be negative")
-    hdot, hx = _trailing_edge_series(history)
-    m_a = params.rho * math.pi * params.tip_span**2 / 4.0 * params.added_mass_coeff
-    return float(0.5 * m_a * np.mean(hdot**2 - speed**2 * hx**2))
+    a, b = _thrust_coefficients(history, params)
+    return a - b * speed**2
 
 
 def drag_force(speed: float, params: HydroParams) -> float:
@@ -160,23 +173,16 @@ def drag_force(speed: float, params: HydroParams) -> float:
 
 
 def steady_speed_from_history(history: MidlineHistory, params: HydroParams) -> float:
-    """Root of thrust(U) = drag(U) for a precomputed kinematics history."""
-
-    def balance(u: float) -> float:
-        return mean_thrust(history, u, params) - drag_force(u, params)
-
-    if balance(0.0) <= 0.0:
+    """Speed where thrust A - B*U**2 meets drag D*U**2: sqrt(A / (B + D))."""
+    a, b = _thrust_coefficients(history, params)
+    if a <= 0.0:
         return 0.0
-    hi = 0.05
-    while balance(hi) > 0.0:
-        hi *= 2.0
-        if hi > MAX_SPEED_M_S:
-            raise ComputationError(
-                f"no thrust/drag balance below {MAX_SPEED_M_S} m/s"
-            )
-    u_star = float(brentq(balance, 0.0, hi, xtol=1e-13, rtol=8.9e-16))
-    residual = abs(balance(u_star))
-    if residual > BALANCE_TOL_N:
+    u_star = math.sqrt(a / (b + drag_force(1.0, params)))
+    # written so that a NaN fails the checks too
+    if not u_star <= MAX_SPEED_M_S:
+        raise ComputationError(f"no thrust/drag balance below {MAX_SPEED_M_S} m/s")
+    residual = abs(a - b * u_star**2 - drag_force(u_star, params))
+    if not residual <= BALANCE_TOL_N:
         raise ComputationError(
             f"thrust/drag residual {residual:.2e} N exceeds {BALANCE_TOL_N} N"
         )
@@ -209,47 +215,29 @@ def calibrate(
     target_speed: float,
     n_samples: int = DEFAULT_N_SAMPLES,
 ) -> HydroParams:
-    """Scale drag_coeff so the predicted speed hits a measured one.
+    """Set drag_coeff so the predicted speed hits a measured one.
 
-    Single-parameter secant search; the kinematics are solved once and
-    reused across iterations.
+    At the target U*, drag must equal the thrust A - B*U*^2 left over, so
+    Cd = 2 * (A - B*U*^2) / (rho * frontal_area * U*^2) in closed form.
     """
-    if target_speed <= 0:
-        raise ValidationError("calibration target speed must be positive")
+    if not (math.isfinite(target_speed) and target_speed > 0):
+        raise ValidationError("calibration target speed must be finite and positive")
     history = sample_kinematics(graph, routing, stiffnesses, amplitude, frequency, n_samples)
 
-    # thrust(U) = A - B*U**2; the drag-free ceiling sqrt(A/B) bounds what
-    # any positive drag_coeff can reach
-    thrust_0 = mean_thrust(history, 0.0, params)
-    thrust_1 = mean_thrust(history, 1.0, params)
-    slope = thrust_0 - thrust_1
-    if thrust_0 <= 0:
+    a, b = _thrust_coefficients(history, params)
+    if a <= 0:
         raise ComputationError("design produces no thrust; cannot calibrate")
-    if slope > 0 and target_speed**2 >= thrust_0 / slope:
+    # the drag-free ceiling sqrt(A/B) bounds what any positive drag_coeff can reach
+    surplus = a - b * target_speed**2
+    if surplus <= 0:
         raise ComputationError(
             f"target speed {target_speed} m/s is unreachable: the drag-free "
-            f"ceiling is {math.sqrt(thrust_0 / slope):.4f} m/s"
+            f"ceiling is {math.sqrt(a / b):.4f} m/s"
         )
-
-    def miss(cd: float) -> float:
-        return steady_speed_from_history(history, replace(params, drag_coeff=cd)) - target_speed
-
-    cd_prev = params.drag_coeff
-    f_prev = miss(cd_prev)
-    cd_cur = cd_prev * (1.5 if f_prev > 0 else 0.5)
-    f_cur = miss(cd_cur)
-    for _ in range(60):
-        if abs(f_cur) <= CALIBRATION_REL_TOL * target_speed * 0.1:
-            return replace(params, drag_coeff=cd_cur)
-        if f_cur == f_prev:
-            break
-        cd_next = cd_cur - f_cur * (cd_cur - cd_prev) / (f_cur - f_prev)
-        if cd_next <= 0:
-            cd_next = 0.5 * min(cd_cur, cd_prev)
-        cd_prev, f_prev = cd_cur, f_cur
-        cd_cur, f_cur = cd_next, miss(cd_next)
-    if abs(f_cur) <= CALIBRATION_REL_TOL * target_speed:
-        return replace(params, drag_coeff=cd_cur)
-    raise ComputationError(
-        f"calibration did not converge (best miss {f_cur:.3e} m/s)"
+    calibrated = replace(
+        params, drag_coeff=2.0 * surplus / (params.rho * params.frontal_area * target_speed**2)
     )
+    miss = steady_speed_from_history(history, calibrated) - target_speed
+    if abs(miss) > CALIBRATION_REL_TOL * target_speed:
+        raise ComputationError(f"calibration missed its target by {miss:.3e} m/s")
+    return calibrated

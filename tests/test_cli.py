@@ -116,6 +116,22 @@ class TestSwimCommand:
         assert doc["power_w"] == pytest.approx(9.33)
         assert doc["mass_kg"] == pytest.approx(0.6022)
 
+    @pytest.mark.parametrize("flags", [
+        ["--freq", "0"],
+        ["--freq", "nan"],
+        ["--freq", "-1.5"],
+        ["--amplitude", "nan"],
+        ["--amplitude", "-0.001"],
+        ["--calibrate-speed", "nan"],
+        ["--calibrate-speed", "inf"],
+    ])
+    def test_bad_actuation_exits_1(self, skel4, capsys, flags):
+        code = main(["swim", "--skeleton", str(skel4), *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_plain_swim_has_all_fields(self, skel4, capsys):
         run_ok(["swim", "--skeleton", str(skel4)])
         doc = json.loads(capsys.readouterr().out)

@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conftest import make_symmetric_graph
 from tailkit.errors import ComputationError, ValidationError
 from tailkit.hydro import (
+    MAX_SPEED_M_S,
     HydroParams,
     MidlineHistory,
     calibrate,
@@ -74,6 +76,18 @@ class TestSampleKinematics:
         _, graph, routing, stiffnesses = type4_design
         with pytest.raises(ValidationError, match="16"):
             sample_kinematics(graph, routing, stiffnesses, AMPLITUDE, FREQUENCY, 8)
+
+    @pytest.mark.parametrize("frequency", [0.0, -1.5, float("nan"), float("inf")])
+    def test_bad_frequency_rejected(self, type4_design, frequency):
+        _, graph, routing, stiffnesses = type4_design
+        with pytest.raises(ValidationError, match="frequency"):
+            sample_kinematics(graph, routing, stiffnesses, AMPLITUDE, frequency, 16)
+
+    @pytest.mark.parametrize("amplitude", [-0.001, float("nan"), float("inf")])
+    def test_bad_amplitude_rejected(self, type4_design, amplitude):
+        _, graph, routing, stiffnesses = type4_design
+        with pytest.raises(ValidationError, match="amplitude"):
+            sample_kinematics(graph, routing, stiffnesses, amplitude, FREQUENCY, 16)
 
 
 class TestHistoryValidation:
@@ -169,6 +183,37 @@ class TestSteadySpeed:
         u128 = steady_speed(graph, routing, stiffnesses, AMPLITUDE, FREQUENCY, calibrated, 128)
         assert abs(u64 - u128) / u64 <= 0.005
 
+    @pytest.mark.parametrize("which", ["default", "calibrated"])
+    def test_closed_form_matches_bracketed_root(self, type4_history, calibrated, which):
+        params = HydroParams() if which == "default" else calibrated
+
+        def balance(u):
+            return mean_thrust(type4_history, u, params) - drag_force(u, params)
+
+        root = brentq(balance, 0.0, MAX_SPEED_M_S, xtol=1e-15, rtol=8.9e-16)
+        u_star = steady_speed_from_history(type4_history, params)
+        assert u_star == pytest.approx(root, rel=1e-12)
+
+    def test_speed_limit_raises(self, type4_design):
+        # a fast, nearly drag-free tail would balance above MAX_SPEED_M_S
+        _, graph, routing, stiffnesses = type4_design
+        history = sample_kinematics(graph, routing, stiffnesses, AMPLITUDE, 5.0)
+        with pytest.raises(ComputationError, match="balance below"):
+            steady_speed_from_history(history, HydroParams(drag_coeff=1e-3))
+        # drag set test-side so the balance falls just either side of the limit
+        params = HydroParams()
+        a = mean_thrust(history, 0.0, params)
+        b = a - mean_thrust(history, 1.0, params)
+        for factor in (0.99, 1.01):
+            u = factor * MAX_SPEED_M_S
+            cd = 2.0 * (a - b * u**2) / (params.rho * params.frontal_area * u**2)
+            balanced = replace(params, drag_coeff=cd)
+            if factor < 1.0:
+                assert steady_speed_from_history(history, balanced) == pytest.approx(u)
+            else:
+                with pytest.raises(ComputationError, match="balance below"):
+                    steady_speed_from_history(history, balanced)
+
     def test_density_scaling_leaves_speed_unchanged(self, type4_history, calibrated):
         u_base = steady_speed_from_history(type4_history, calibrated)
         heavy = replace(calibrated, rho=3.0 * calibrated.rho)
@@ -182,6 +227,10 @@ class TestCalibrate:
         _, graph, routing, stiffnesses = type4_design
         speed = steady_speed(graph, routing, stiffnesses, AMPLITUDE, FREQUENCY, calibrated)
         assert 0.16302 <= speed <= 0.16334
+
+    def test_hits_target_exactly(self, type4_history, calibrated):
+        speed = steady_speed_from_history(type4_history, calibrated)
+        assert speed == pytest.approx(0.163181, rel=1e-12)
 
     def test_fixed_point(self, type4_design, type4_history, calibrated):
         _, graph, routing, stiffnesses = type4_design
@@ -207,6 +256,12 @@ class TestCalibrate:
         _, graph, routing, stiffnesses = type4_design
         with pytest.raises(ValidationError):
             calibrate(graph, routing, stiffnesses, AMPLITUDE, FREQUENCY, HydroParams(), 0.0)
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf")])
+    def test_nonfinite_target_rejected(self, type4_design, target):
+        _, graph, routing, stiffnesses = type4_design
+        with pytest.raises(ValidationError, match="finite"):
+            calibrate(graph, routing, stiffnesses, AMPLITUDE, FREQUENCY, HydroParams(), target)
 
 
 class TestParams:

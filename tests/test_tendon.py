@@ -1,14 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import chain_arrays, fk_cable_length, make_symmetric_graph
 from tailkit.errors import ComputationError, ValidationError
-from tailkit.skeleton import SkeletonGraph, SkeletonSpec
+from tailkit.skeleton import SkeletonGraph, SkeletonSpec, generate_skeleton, six_presets
 from tailkit.tendon import (
+    MAX_BEND_RAD,
     ActuationCommand,
+    _Chain,
     actuation_waveform,
+    bend_antagonistic,
     bend_from_cables,
     cable_lengths,
     route_cables,
@@ -189,6 +193,74 @@ class TestBend:
         graph, routing = rig
         with pytest.raises(ValidationError, match="stiffnesses"):
             bend_from_cables(graph, routing, ActuationCommand(0.0, 0.0), [0.05, 0.05])
+
+
+class TestBatchedBend:
+    @pytest.fixture(scope="class")
+    def preset_designs(self, fitted_curves):
+        upper, lower, _ = fitted_curves
+        designs = []
+        for spec in six_presets():
+            for n_ribs in (4, 10):
+                spec_n = replace(spec, n_ribs=n_ribs)
+                graph = generate_skeleton(spec_n, upper, lower)
+                designs.append((graph, route_cables(graph), segment_stiffnesses(spec_n)))
+        return designs
+
+    def test_matches_single_pose_solver_on_presets(self, preset_designs):
+        # one period of the default waveform, both cables taut in turn
+        deltas = [actuation_waveform(0.008, 1.5, j / (64 * 1.5)).delta_top for j in range(64)]
+        for graph, routing, k in preset_designs:
+            poses = bend_antagonistic(graph, routing, deltas, k)
+            assert len(poses) == len(deltas)
+            for delta, pose in zip(deltas, poses):
+                ref = bend_from_cables(graph, routing, ActuationCommand(delta, -delta), k)
+                gap = np.abs(np.subtract(pose.segment_angles, ref.segment_angles)).max()
+                assert gap <= 1e-7
+                top, bottom = cable_lengths(graph, routing, pose)
+                if delta > 0:
+                    assert abs(top - (routing.slack_length_top - delta)) <= 1e-9
+                elif delta < 0:
+                    assert abs(bottom - (routing.slack_length_bottom + delta)) <= 1e-9
+
+    def test_zero_deltas_are_straight(self, rig):
+        graph, routing = rig
+        poses = bend_antagonistic(graph, routing, [0.0, 0.0], UNIFORM_K)
+        straight = bend_from_cables(graph, routing, ActuationCommand(0.0, 0.0), UNIFORM_K)
+        assert poses == (straight, straight)
+
+    def test_empty_batch(self, rig):
+        graph, routing = rig
+        assert bend_antagonistic(graph, routing, [], UNIFORM_K) == ()
+
+    def test_checks_match_single_pose(self, rig):
+        graph, routing = rig
+        with pytest.raises(ValidationError, match="travel limit"):
+            bend_antagonistic(graph, routing, [0.01, -0.0301], UNIFORM_K)
+        with pytest.raises(ValidationError, match="stiffnesses"):
+            bend_antagonistic(graph, routing, [0.01], [0.05, 0.05])
+        with pytest.raises(ValidationError, match="finite"):
+            bend_antagonistic(graph, routing, [0.01, float("nan")], UNIFORM_K)
+        narrow = make_symmetric_graph(half_span=0.004)
+        with pytest.raises(ComputationError, match="geometric limit"):
+            bend_antagonistic(narrow, route_cables(narrow), [0.005, -0.02], UNIFORM_K)
+
+    def test_closed_form_min_length_is_grid_minimum(self, rig, type4_design):
+        _, graph4, routing4, _ = type4_design
+        bound = MAX_BEND_RAD - 1e-6
+        grid = np.linspace(-bound, bound, 200_001)
+        for graph, routing in (rig, (graph4, routing4)):
+            closed_form = _Chain(graph, routing).min_cable_lengths()
+            _, seg_vec, off_top, off_bot = chain_arrays(graph)
+            for closed, off in zip(closed_form, (off_top, off_bot)):
+                # segment i runs from guide i to guide i+1 rotated by theta_i
+                ax = seg_vec[:, 0][:, None]
+                ay = (seg_vec[:, 1] + off[1:])[:, None]
+                c, s = np.cos(grid), np.sin(grid)
+                lengths = np.hypot(c * ax - s * ay, s * ax + c * ay - off[:-1][:, None])
+                grid_min = float(np.sum(lengths.min(axis=1)))
+                assert closed <= grid_min
+                assert grid_min - closed <= 1e-9
 
 
 class TestCableLengths:
