@@ -3,23 +3,25 @@
 Every command validates its inputs before any output file is opened and
 writes through a temp-file/rename pair, so a failing run never leaves a
 partial artifact. Exit codes: 0 success, 1 validation error, 2
-computation error. A plain-text config file (``key = value`` lines, #
+computation error. Files are parsed and rendered by the library
+modules (``formats`` and ``explorer``); this module only opens and
+writes them. A plain-text config file (``key = value`` lines, #
 comments) can override built-in defaults; explicit flags always win.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 from pathlib import Path
 
 from . import energetics, explorer, hydro, skeleton, tendon
-from .energetics import MeasurementLog, PowerModel, SwimResult
+from .energetics import PowerModel, SwimResult
 from .errors import ComputationError, ValidationError
 from .export import skeleton_from_json, skeleton_to_json, skeleton_to_svg
+from .formats import dump_json, load_json
 from .profile import (
     DEFAULT_DEGREE,
     DORSAL_EXCISE_HI,
@@ -99,40 +101,29 @@ def _atomic_write(path: Path, text: str) -> None:
 def _load_curves(path: str | None) -> tuple[PolyCurve, PolyCurve]:
     if path is None:
         return explorer.default_curves()
-    doc = _load_json(_require_input(path, "curves file"), "curves file")
+    doc = _load_json(path, "curves file")
     try:
         return PolyCurve.from_dict(doc["upper"]), PolyCurve.from_dict(doc["lower"])
-    except KeyError as e:
-        raise ValidationError(f"curves file is missing the {e} curve") from None
+    except (KeyError, TypeError):
+        raise ValidationError("curves file needs an upper and a lower curve") from None
 
 
-def _load_json(path: Path, what: str) -> dict:
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{what} is not valid JSON: {e}") from e
+def _load_json(path: str, what: str):
+    return load_json(_require_input(path, what).read_text(encoding="utf-8"), what)
 
 
-def _parse_excise(text: str) -> tuple[float, float] | None:
-    if text == "none":
-        return None
+def _load_skeleton(path: str):
+    return skeleton_from_json(_require_input(path, "skeleton JSON").read_text(encoding="utf-8"))
+
+
+def _parse_pair(text: str, flag: str, form: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise ValidationError(f"--excise expects LO:HI or 'none', got {text!r}")
+        raise ValidationError(f"{flag} expects {form}, got {text!r}")
     try:
         return float(parts[0]), float(parts[1])
     except ValueError:
-        raise ValidationError(f"--excise expects numbers, got {text!r}") from None
-
-
-def _parse_h1h2(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValidationError(f"--h1h2 expects H1:H2, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ValidationError(f"--h1h2 expects numbers, got {text!r}") from None
+        raise ValidationError(f"{flag} expects numbers, got {text!r}") from None
 
 
 def _cmd_fit(args) -> int:
@@ -141,7 +132,9 @@ def _cmd_fit(args) -> int:
     fill = _resolve(args.fill, config, "fill", None, int)
     excise_text = _resolve(args.excise, config, "excise",
                            f"{DORSAL_EXCISE_LO}:{DORSAL_EXCISE_HI}", str)
-    window = _parse_excise(excise_text)
+    window = None if excise_text == "none" else _parse_pair(
+        excise_text, "--excise", "LO:HI or 'none'"
+    )
     src = _require_input(args.profile, "profile CSV")
     out = _check_output(args.out)
 
@@ -162,7 +155,7 @@ def _cmd_fit(args) -> int:
             "degree": report.degree,
         },
     }
-    _atomic_write(out, json.dumps(doc, indent=1) + "\n")
+    _atomic_write(out, dump_json(doc))
     return 0
 
 
@@ -181,7 +174,7 @@ def _cmd_skeleton(args) -> int:
             head_fraction=_resolve(args.head_fraction, config, "head_fraction",
                                    skeleton.DEFAULT_HEAD_FRACTION, float),
             n_ribs=_resolve(args.ribs, config, "n_ribs", skeleton.DEFAULT_N_RIBS, int),
-            h1_h2=_parse_h1h2(args.h1h2),
+            h1_h2=_parse_pair(args.h1h2, "--h1h2", "H1:H2"),
             thickness_first=_resolve(args.thickness_first, config, "thickness_first_mm",
                                      skeleton.DEFAULT_THICKNESS_FIRST_MM, float),
             thickness_ratio=args.thickness_ratio if args.thickness_ratio is not None else 1.0,
@@ -194,9 +187,8 @@ def _cmd_skeleton(args) -> int:
 def _cmd_bend(args) -> int:
     config = _read_config(args.config)
     k_ref = _resolve(args.k_ref, config, "k_ref", tendon.DEFAULT_K_REF, float)
-    src = _require_input(args.skeleton, "skeleton JSON")
     out = _check_output(args.out)
-    graph = skeleton_from_json(src.read_text(encoding="utf-8"))
+    graph = _load_skeleton(args.skeleton)
     routing = tendon.route_cables(graph)
     stiffnesses = tendon.stiffnesses_from_graph(graph, k_ref)
     cmd = tendon.ActuationCommand(delta_top=args.delta_top, delta_bottom=args.delta_bottom)
@@ -205,7 +197,7 @@ def _cmd_bend(args) -> int:
         "segment_angles_rad": list(pose.segment_angles),
         "midline": [[x, y] for x, y in pose.midline],
     }
-    _atomic_write(out, json.dumps(doc, indent=1) + "\n")
+    _atomic_write(out, dump_json(doc))
     return 0
 
 
@@ -216,14 +208,11 @@ def _swim_result(args, config) -> SwimResult:
     mass = _resolve(args.mass, config, "mass_kg", energetics.DERIVED_MASS_KG, float)
     n_samples = _resolve(args.samples, config, "n_samples", hydro.DEFAULT_N_SAMPLES, int)
 
-    src = _require_input(args.skeleton, "skeleton JSON")
-    graph = skeleton_from_json(src.read_text(encoding="utf-8"))
+    graph = _load_skeleton(args.skeleton)
     body_length = args.body_length or skeleton.infer_body_length(graph)
     params = hydro.HydroParams()
     if args.hydro is not None:
-        params = hydro.HydroParams.from_dict(
-            _load_json(_require_input(args.hydro, "hydro JSON"), "hydro JSON")
-        )
+        params = hydro.HydroParams.from_dict(_load_json(args.hydro, "hydro JSON"))
     routing = tendon.route_cables(graph)
     stiffnesses = tendon.stiffnesses_from_graph(graph, k_ref)
     if args.calibrate_speed is not None:
@@ -243,13 +232,13 @@ def _swim_result(args, config) -> SwimResult:
 def _cmd_swim(args) -> int:
     config = _read_config(args.config)
     result = _swim_result(args, config)
-    print(json.dumps(result.to_dict(), indent=1))
+    sys.stdout.write(dump_json(result.to_dict()))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     config = _read_config(args.config)
-    jobs = _resolve(args.jobs, config, "jobs", os.cpu_count() or 1, int)
+    jobs = _resolve(args.jobs, config, "jobs", 1, int)
     if (args.grid is None) == (not args.reference):
         raise ValidationError("provide exactly one of --grid or --reference")
     out = _check_output(args.out)
@@ -259,8 +248,7 @@ def _cmd_sweep(args) -> int:
     if args.reference:
         records = explorer.reference_records()
     else:
-        grid_doc = _load_json(_require_input(args.grid, "grid JSON"), "grid JSON")
-        grid = explorer.DesignGrid.from_dict(grid_doc)
+        grid = explorer.DesignGrid.from_dict(_load_json(args.grid, "grid JSON"))
         records = explorer.run_sweep(grid, jobs=jobs)
 
     _atomic_write(out, explorer.emit_report(records, "csv"))
@@ -272,43 +260,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pareto(args) -> int:
-    import csv as _csv
-    import io as _io
-
     src = _require_input(args.records, "records CSV")
     out = _check_output(args.out)
-    with src.open(newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != explorer.REPORT_COLUMNS:
-            raise ValidationError(
-                f"records CSV must have columns {','.join(explorer.REPORT_COLUMNS)}"
-            )
-        rows = list(reader)
-    scored = [r for r in rows if r["speed_mm_s"] and r["cot"]]
-    if not scored:
-        raise ValidationError("no records with speed and COT to rank")
-    try:
-        points = [(float(r["speed_mm_s"]), float(r["cot"])) for r in scored]
-    except ValueError as e:
-        raise ValidationError(f"records CSV has non-numeric metrics: {e}") from None
-    flags = explorer.non_dominated(points)
-    front = [r for r, keep in zip(scored, flags) if keep]
-    front.sort(key=lambda r: (-float(r["speed_mm_s"]), r["label"]))
-    sio = _io.StringIO()
-    writer = _csv.DictWriter(sio, fieldnames=list(explorer.REPORT_COLUMNS), lineterminator="\n")
-    writer.writeheader()
-    for r in front:
-        row = dict(r)
-        row["pareto"] = "true"
-        writer.writerow(row)
-    _atomic_write(out, sio.getvalue())
+    _atomic_write(out, explorer.pareto_report_csv(src.read_text(encoding="utf-8")))
     return 0
 
 
 def _cmd_export(args) -> int:
-    src = _require_input(args.skeleton, "skeleton JSON")
     out = _check_output(args.svg)
-    graph = skeleton_from_json(src.read_text(encoding="utf-8"))
+    graph = _load_skeleton(args.skeleton)
     _atomic_write(out, skeleton_to_svg(graph).text)
     return 0
 
@@ -316,26 +276,22 @@ def _cmd_export(args) -> int:
 def _cmd_analyze(args) -> int:
     config = _read_config(args.config)
     mass = _resolve(args.mass, config, "mass_kg", energetics.DERIVED_MASS_KG, float)
-    power_log = energetics.load_power_log(_require_input(args.power_log, "power log CSV"))
-    track = energetics.load_track(_require_input(args.track, "track CSV"))
-    log = MeasurementLog(samples=power_log.samples, track=track.track)
-    power = energetics.average_power(log)
-    speed = energetics.speed_from_track(log)
+    power = energetics.average_power(
+        energetics.load_power_log(_require_input(args.power_log, "power log CSV"))
+    )
+    speed = energetics.speed_from_track(
+        energetics.load_track(_require_input(args.track, "track CSV"))
+    )
     cot_value = energetics.cot(power, mass, speed) if speed > 0 else None
     if cot_value is None:
         print("note: non-positive speed, cost of transport undefined", file=sys.stderr)
-    print(
-        json.dumps(
-            {
-                "power_w": power,
-                "speed_m_s": speed,
-                "speed_mm_s": speed * 1000.0,
-                "mass_kg": mass,
-                "cot": cot_value,
-            },
-            indent=1,
-        )
-    )
+    sys.stdout.write(dump_json({
+        "power_w": power,
+        "speed_m_s": speed,
+        "speed_mm_s": speed * 1000.0,
+        "mass_kg": mass,
+        "cot": cot_value,
+    }))
     return 0
 
 
@@ -397,7 +353,9 @@ def build_parser() -> _Parser:
     p.add_argument("--reference", action="store_true",
                    help="emit the bundled measured reference records instead of simulating")
     p.add_argument("--out", required=True, help="output report CSV")
-    p.add_argument("--jobs", type=int, help="parallel evaluations (default: cpu count)")
+    p.add_argument("--jobs", type=int,
+                   help="parallel evaluations (default 1: a design takes about 2 ms, "
+                        "so a process pool pays off only on large grids)")
     p.add_argument("--plot-out", help="also write speed/COT scatter CSV here")
     p.add_argument("--json-out", help="also write the lossless JSON report here")
     add_config(p)

@@ -9,19 +9,17 @@ convention, so it is applied verbatim and documented here.
 The robot's mass is not directly known; the default below is derived by
 inverting COT = P/(m*v) at the best design's measured operating point
 (9.33 W, 0.163181 m/s, COT 95) and is flagged as derived wherever it
-appears.
+appears. Both logs are numeric CSVs, read by ``formats.read_numeric_csv``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
+from .formats import read_numeric_csv
 
 # Measured electrical operating points of the physical robot.
 P_IDLE_W = 0.48
@@ -49,6 +47,8 @@ class PowerModel:
     exponent: float = 2.0
 
     def __post_init__(self):
+        require_finite("power model parameters", self.p_idle, self.p_actuation_full,
+                       self.amplitude_ref, self.exponent)
         if self.p_idle < 0:
             raise ValidationError("idle power cannot be negative")
         if self.p_actuation_full <= self.p_idle:
@@ -197,36 +197,11 @@ def speed_from_track(log: MeasurementLog) -> float:
     return (x1 - x0) / (t1 - t0)
 
 
-def _read_csv(source, header: tuple[str, ...]) -> list[tuple[float, ...]]:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
-    try:
-        got = tuple(h.strip() for h in next(reader))
-    except StopIteration:
-        raise ValidationError("empty CSV") from None
-    if got != header:
-        raise ValidationError(f"CSV header must be {','.join(header)}, got {','.join(got)}")
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise ValidationError(f"line {lineno}: expected {len(header)} fields")
-        try:
-            rows.append(tuple(float(v) for v in row))
-        except ValueError:
-            raise ValidationError(f"line {lineno}: non-numeric value in {row}") from None
-    return rows
-
-
 def load_power_log(source) -> MeasurementLog:
     """Read an electrical log CSV with header ``t_s,voltage_v,current_a``."""
-    return MeasurementLog(samples=tuple(_read_csv(source, POWER_CSV_HEADER)))
+    return MeasurementLog(samples=tuple(read_numeric_csv(source, POWER_CSV_HEADER)))
 
 
 def load_track(source) -> MeasurementLog:
     """Read a displacement track CSV with header ``t_s,x_m``."""
-    return MeasurementLog(track=tuple(_read_csv(source, TRACK_CSV_HEADER)))
+    return MeasurementLog(track=tuple(read_numeric_csv(source, TRACK_CSV_HEADER)))

@@ -9,19 +9,23 @@ but never abort the sweep and are excluded from Pareto analysis.
 Simulated numbers and the bundled measured reference values for the six
 stock skeleton types must never be conflated, so every record carries a
 source tag: ``simulated`` or ``paper-reference``.
+
+This module owns the report CSV: its one writer serves both sweep
+reports and Pareto fronts, and ``pareto_report_csv`` ranks a report read
+back from disk. The JSON report goes through ``formats``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .energetics import DERIVED_MASS_KG, PowerModel, SwimResult, predict_power
 from .errors import ValidationError
+from .formats import dump_json, load_json
 from .hydro import HydroParams, steady_speed
 from .profile import (
     PolyCurve,
@@ -41,17 +45,15 @@ from .tendon import (
 SOURCE_SIMULATED = "simulated"
 SOURCE_REFERENCE = "paper-reference"
 
+# The report columns that SwimResult.to_dict fills; empty for a failed design.
+_METRIC_COLUMNS = ("speed_mm_s", "speed_bl_s", "power_w", "mass_kg", "cot")
 REPORT_COLUMNS = (
     "label",
     "h1",
     "h2",
     "thickness_ratio",
     "n_ribs",
-    "speed_mm_s",
-    "speed_bl_s",
-    "power_w",
-    "mass_kg",
-    "cot",
+    *_METRIC_COLUMNS,
     "pareto",
     "source",
 )
@@ -102,27 +104,23 @@ class DesignGrid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DesignGrid":
-        kwargs = {}
-        if "h1_h2_values" in d:
-            kwargs["h1_h2_values"] = tuple(
-                (float(a), float(b)) for a, b in d["h1_h2_values"]
-            )
-        if "thickness_ratios" in d:
-            kwargs["thickness_ratios"] = tuple(float(v) for v in d["thickness_ratios"])
-        if "n_ribs_values" in d:
-            kwargs["n_ribs_values"] = tuple(int(v) for v in d["n_ribs_values"])
-        if "base_spec" in d:
-            kwargs["base_spec"] = spec_from_dict(d["base_spec"])
-        if "actuation" in d:
-            kwargs["actuation"] = (
-                float(d["actuation"]["amplitude_m"]),
-                float(d["actuation"]["frequency_hz"]),
-            )
-        if "hydro" in d:
-            kwargs["hydro"] = HydroParams.from_dict(d["hydro"])
-        if "power" in d:
-            kwargs["power"] = PowerModel.from_dict(d["power"])
-        return cls(**kwargs)
+        if not isinstance(d, dict):
+            raise ValidationError("grid document: top level must be an object")
+        parsers = {
+            "h1_h2_values": lambda v: tuple((float(a), float(b)) for a, b in v),
+            "thickness_ratios": lambda v: tuple(map(float, v)),
+            "n_ribs_values": lambda v: tuple(map(int, v)),
+            "base_spec": spec_from_dict,
+            "actuation": lambda v: (float(v["amplitude_m"]), float(v["frequency_hz"])),
+            "hydro": HydroParams.from_dict,
+            "power": PowerModel.from_dict,
+        }
+        try:
+            return cls(**{key: parse(d[key]) for key, parse in parsers.items() if key in d})
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValidationError(f"bad grid document: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -202,14 +200,8 @@ def _grid_points(grid: DesignGrid) -> list[tuple[str, SkeletonSpec]]:
     for h1h2 in grid.h1_h2_values:
         for ratio in grid.thickness_ratios:
             for n_ribs in grid.n_ribs_values:
-                spec = SkeletonSpec(
-                    body_length=grid.base_spec.body_length,
-                    head_fraction=grid.base_spec.head_fraction,
-                    n_ribs=n_ribs,
-                    h1_h2=h1h2,
-                    thickness_first=grid.base_spec.thickness_first,
-                    thickness_ratio=ratio,
-                    spine_shape=grid.base_spec.spine_shape,
+                spec = replace(
+                    grid.base_spec, n_ribs=n_ribs, h1_h2=h1h2, thickness_ratio=ratio
                 )
                 label = f"h{h1h2[0]:g}-{h1h2[1]:g}_t{ratio:g}_r{n_ribs}"
                 points.append((label, spec))
@@ -259,6 +251,14 @@ def non_dominated(points: list[tuple[float, float]]) -> list[bool]:
     return flags
 
 
+def _front_order(points: list[tuple[float, float, str]]) -> list[int]:
+    """Indices of the non-dominated (speed, cot, label) points, fastest
+    first, equal speeds by label."""
+    flags = non_dominated([(speed, cot) for speed, cot, _ in points])
+    kept = [i for i, keep in enumerate(flags) if keep]
+    return sorted(kept, key=lambda i: (-points[i][0], points[i][2]))
+
+
 def pareto_front(records: list[DesignRecord]) -> list[DesignRecord]:
     """Non-dominated records (speed up, COT down), sorted by speed, descending.
 
@@ -268,9 +268,8 @@ def pareto_front(records: list[DesignRecord]) -> list[DesignRecord]:
     valid = [r for r in records if r.result is not None]
     if not valid:
         raise ValidationError("pareto_front needs at least one record with a valid result")
-    flags = non_dominated([(r.result.speed, r.result.cot) for r in valid])
-    front = [r for r, keep in zip(valid, flags) if keep]
-    return sorted(front, key=lambda r: (-r.result.speed, r.label))
+    order = _front_order([(r.result.speed, r.result.cot, r.label) for r in valid])
+    return [valid[i] for i in order]
 
 
 def reference_records() -> list[DesignRecord]:
@@ -303,7 +302,8 @@ def reference_records() -> list[DesignRecord]:
 
 def _record_row(record: DesignRecord, pareto: bool) -> dict:
     spec = record.spec
-    row = {
+    metrics = record.result.to_dict() if record.result is not None else {}
+    return {
         "label": record.label,
         "h1": spec.h1_h2[0],
         "h2": spec.h1_h2[1],
@@ -311,19 +311,8 @@ def _record_row(record: DesignRecord, pareto: bool) -> dict:
         "n_ribs": spec.n_ribs,
         "pareto": pareto,
         "source": record.source,
+        **{key: metrics.get(key) for key in _METRIC_COLUMNS},
     }
-    if record.result is not None:
-        r = record.result
-        row.update(
-            speed_mm_s=r.speed * 1000.0,
-            speed_bl_s=r.speed_bl,
-            power_w=r.power,
-            mass_kg=r.mass,
-            cot=r.cot,
-        )
-    else:
-        row.update(speed_mm_s=None, speed_bl_s=None, power_w=None, mass_kg=None, cot=None)
-    return row
 
 
 def emit_report(records: list[DesignRecord], fmt: str) -> str:
@@ -340,18 +329,7 @@ def emit_report(records: list[DesignRecord], fmt: str) -> str:
         front_labels = {r.label for r in pareto_front(records)}
 
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for rec in records:
-            row = _record_row(rec, rec.label in front_labels)
-            writer.writerow(
-                [
-                    "" if row[c] is None else (str(row[c]).lower() if c == "pareto" else row[c])
-                    for c in REPORT_COLUMNS
-                ]
-            )
-        return buf.getvalue()
+        return _report_csv(_record_row(rec, rec.label in front_labels) for rec in records)
 
     if fmt == "json":
         payload = []
@@ -362,7 +340,7 @@ def emit_report(records: list[DesignRecord], fmt: str) -> str:
             row["error"] = rec.error
             row["spec"] = spec_to_dict(rec.spec)
             payload.append(row)
-        return json.dumps(payload, indent=1) + "\n"
+        return dump_json(payload)
 
     if fmt == "plot":
         lines = ["speed_mm_s,cot"]
@@ -374,34 +352,61 @@ def emit_report(records: list[DesignRecord], fmt: str) -> str:
     raise ValidationError(f"unknown report format {fmt!r} (expected csv, json or plot)")
 
 
+def _report_csv(rows) -> str:
+    """The report CSV: REPORT_COLUMNS order, lowercase booleans, an empty
+    cell for a missing value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(REPORT_COLUMNS)
+    for row in rows:
+        writer.writerow(
+            [
+                "" if row[c] is None else (str(row[c]).lower() if c == "pareto" else row[c])
+                for c in REPORT_COLUMNS
+            ]
+        )
+    return buf.getvalue()
+
+
+def pareto_report_csv(text: str) -> str:
+    """The Pareto front of a report CSV among rows with speed and COT; its
+    rows are copied verbatim except for ``pareto``, which becomes ``true``."""
+    reader = csv.DictReader(io.StringIO(text))
+    if tuple(reader.fieldnames or ()) != REPORT_COLUMNS:
+        raise ValidationError(f"records CSV must have columns {','.join(REPORT_COLUMNS)}")
+    scored = [r for r in reader if r["speed_mm_s"] and r["cot"]]
+    if not scored:
+        raise ValidationError("no records with speed and COT to rank")
+    try:
+        points = [(float(r["speed_mm_s"]), float(r["cot"]), r["label"]) for r in scored]
+    except ValueError as e:
+        raise ValidationError(f"records CSV has non-numeric metrics: {e}") from None
+    return _report_csv({**scored[i], "pareto": "true"} for i in _front_order(points))
+
+
 def parse_report_json(text: str) -> list[DesignRecord]:
     """Inverse of emit_report(..., 'json')."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"invalid report JSON: {e}") from e
+    payload = load_json(text, "report JSON")
     if not isinstance(payload, list):
         raise ValidationError("report JSON must be an array of records")
     records = []
-    for row in payload:
-        spec = spec_from_dict(row["spec"])
-        if row.get("error") is not None:
-            records.append(
-                DesignRecord(
-                    label=row["label"], spec=spec, result=None,
-                    source=row["source"], error=row["error"],
+    try:
+        for row in payload:
+            spec = spec_from_dict(row["spec"])
+            result = None
+            if row.get("error") is None:
+                result = SwimResult(
+                    speed=row["speed_m_s"],
+                    speed_bl=row["speed_bl_s"],
+                    power=row["power_w"],
+                    mass=row["mass_kg"],
+                    cot=row["cot"],
+                    body_length=spec.body_length,
                 )
-            )
-            continue
-        result = SwimResult(
-            speed=row["speed_m_s"],
-            speed_bl=row["speed_bl_s"],
-            power=row["power_w"],
-            mass=row["mass_kg"],
-            cot=row["cot"],
-            body_length=spec.body_length,
-        )
-        records.append(
-            DesignRecord(label=row["label"], spec=spec, result=result, source=row["source"])
-        )
+            records.append(DesignRecord(
+                label=row["label"], spec=spec, result=result,
+                source=row["source"], error=row.get("error"),
+            ))
+    except (KeyError, TypeError) as e:
+        raise ValidationError(f"bad report record: {e}") from e
     return records

@@ -9,18 +9,18 @@ lines; a dashed vertical marker shows the head/tail boundary. Element
 order is fixed: ribs head to tail, then bars, then strings, then the
 boundary marker.
 
-The JSON form is the lossless interchange format for skeleton graphs;
-parse errors name the offending JSON path.
+The JSON form is the lossless interchange format for skeleton graphs.
+It is read and written through ``formats``, so it is strict JSON both
+ways; errors in the document's structure name the offending JSON path.
 """
 
 from __future__ import annotations
 
-import json
 import math
-
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .formats import dump_json, load_json
 from .skeleton import Node, Rib, SkeletonGraph
 
 STRING_STROKE_MM = 0.3
@@ -101,31 +101,28 @@ def skeleton_to_svg(graph: SkeletonGraph) -> SvgDocument:
     return SvgDocument(width_mm=width, height_mm=height, elements=tuple(elements))
 
 
+# Rib attribute and skeleton JSON key, in the key order of the file.
+_RIB_KEYS = (("x", "x"), ("y_top", "y_top"), ("y_bottom", "y_bottom"), ("y_spine", "y_spine"),
+             ("thickness", "thickness_mm"))
+
+
 def skeleton_to_json(graph: SkeletonGraph) -> str:
     """Serialize a skeleton graph to its interchange JSON."""
     doc = {
         "nodes": [{"id": n.id, "x": n.x, "y": n.y} for n in graph.nodes],
         "bars": [list(b) for b in graph.bars],
         "strings": [list(s) for s in graph.strings],
-        "ribs": [
-            {
-                "x": r.x,
-                "y_top": r.y_top,
-                "y_bottom": r.y_bottom,
-                "y_spine": r.y_spine,
-                "thickness_mm": r.thickness,
-            }
-            for r in graph.ribs
-        ],
+        "ribs": [{key: getattr(r, attr) for attr, key in _RIB_KEYS} for r in graph.ribs],
         "head_boundary_x": graph.head_boundary_x,
     }
-    return json.dumps(doc, indent=1) + "\n"
+    return dump_json(doc)
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
+def _field(obj: dict, key: str, path: str, kind):
+    """``obj[key]`` of the object at ``path``, checked by ``kind(value, its path)``."""
+    if key not in obj:
         raise ValidationError(f"skeleton JSON: missing {path}.{key}")
-    return doc[key]
+    return kind(obj[key], f"{path}.{key}")
 
 
 def _number(value, path: str) -> float:
@@ -140,11 +137,26 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _edge_list(value, path: str) -> tuple[tuple[int, int], ...]:
+def _array(value, path: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"skeleton JSON: {path} must be an array")
+    return value
+
+
+def _objects(doc: dict, key: str) -> list[tuple[dict, str]]:
+    """The objects of the array ``$.key``, each with its path."""
+    items = []
+    for i, item in enumerate(_field(doc, key, "$", _array)):
+        path = f"$.{key}[{i}]"
+        if not isinstance(item, dict):
+            raise ValidationError(f"skeleton JSON: {path} must be an object")
+        items.append((item, path))
+    return items
+
+
+def _edge_list(value, path: str) -> tuple[tuple[int, int], ...]:
     edges = []
-    for i, pair in enumerate(value):
+    for i, pair in enumerate(_array(value, path)):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError(f"skeleton JSON: {path}[{i}] must be a [a, b] pair")
         edges.append((_integer(pair[0], f"{path}[{i}][0]"), _integer(pair[1], f"{path}[{i}][1]")))
@@ -153,54 +165,27 @@ def _edge_list(value, path: str) -> tuple[tuple[int, int], ...]:
 
 def skeleton_from_json(text: str) -> SkeletonGraph:
     """Parse the interchange JSON back into a validated skeleton graph."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"skeleton JSON: not valid JSON ({e})") from e
+    doc = load_json(text, "skeleton JSON")
     if not isinstance(doc, dict):
         raise ValidationError("skeleton JSON: top level must be an object")
-
-    raw_nodes = _require(doc, "nodes", "$")
-    if not isinstance(raw_nodes, list):
-        raise ValidationError("skeleton JSON: $.nodes must be an array")
-    nodes = []
-    for i, n in enumerate(raw_nodes):
-        if not isinstance(n, dict):
-            raise ValidationError(f"skeleton JSON: $.nodes[{i}] must be an object")
-        nodes.append(
-            Node(
-                id=_integer(_require(n, "id", f"$.nodes[{i}]"), f"$.nodes[{i}].id"),
-                x=_number(_require(n, "x", f"$.nodes[{i}]"), f"$.nodes[{i}].x"),
-                y=_number(_require(n, "y", f"$.nodes[{i}]"), f"$.nodes[{i}].y"),
-            )
+    nodes = tuple(
+        Node(
+            id=_field(n, "id", path, _integer),
+            x=_field(n, "x", path, _number),
+            y=_field(n, "y", path, _number),
         )
-
-    bars = _edge_list(_require(doc, "bars", "$"), "$.bars")
-    strings = _edge_list(_require(doc, "strings", "$"), "$.strings")
-
-    raw_ribs = _require(doc, "ribs", "$")
-    if not isinstance(raw_ribs, list):
-        raise ValidationError("skeleton JSON: $.ribs must be an array")
-    ribs = []
-    for i, r in enumerate(raw_ribs):
-        if not isinstance(r, dict):
-            raise ValidationError(f"skeleton JSON: $.ribs[{i}] must be an object")
-        path = f"$.ribs[{i}]"
-        ribs.append(
-            Rib(
-                x=_number(_require(r, "x", path), f"{path}.x"),
-                y_top=_number(_require(r, "y_top", path), f"{path}.y_top"),
-                y_bottom=_number(_require(r, "y_bottom", path), f"{path}.y_bottom"),
-                y_spine=_number(_require(r, "y_spine", path), f"{path}.y_spine"),
-                thickness=_number(_require(r, "thickness_mm", path), f"{path}.thickness_mm"),
-            )
-        )
-
-    head_x = _number(_require(doc, "head_boundary_x", "$"), "$.head_boundary_x")
+        for n, path in _objects(doc, "nodes")
+    )
+    bars = _field(doc, "bars", "$", _edge_list)
+    strings = _field(doc, "strings", "$", _edge_list)
+    ribs = tuple(
+        Rib(**{attr: _field(r, key, path, _number) for attr, key in _RIB_KEYS})
+        for r, path in _objects(doc, "ribs")
+    )
     return SkeletonGraph(
-        nodes=tuple(nodes),
+        nodes=nodes,
         bars=bars,
         strings=strings,
-        ribs=tuple(ribs),
-        head_boundary_x=head_x,
+        ribs=ribs,
+        head_boundary_x=_field(doc, "head_boundary_x", "$", _number),
     )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, require_finite
 from .skeleton import SkeletonGraph
 from .tendon import CableRouting, actuation_waveform, bend_antagonistic
 
@@ -50,6 +50,8 @@ class HydroParams:
     tip_span: float = 0.08  # m, fluke trailing-edge depth
 
     def __post_init__(self):
+        require_finite("hydro parameters", self.rho, self.drag_coeff, self.frontal_area,
+                       self.added_mass_coeff, self.tip_span)
         for name in ("rho", "drag_coeff", "frontal_area", "added_mass_coeff", "tip_span"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be strictly positive")

@@ -2,10 +2,11 @@
 polynomial curve fitting.
 
 The pipeline mirrors how a side-view hull contour becomes a pair of
-smooth analytic curves: load digitized (x, y_upper, y_lower) samples,
-cut the dorsal-fin region out of the upper contour, bridge the gap with
-a natural cubic spline, then least-squares fit a high-order polynomial
-to each contour on the chord normalized to [0, 1].
+smooth analytic curves: load digitized (x, y_upper, y_lower) samples
+from a numeric CSV (``formats.read_numeric_csv``), cut the dorsal-fin
+region out of the upper contour, bridge the gap with a natural cubic
+spline, then least-squares fit a high-order polynomial to each contour
+on the chord normalized to [0, 1].
 
 High-degree monomial fits are numerically treacherous (the plain
 Vandermonde system at degree 17 has a condition number around 1e13), so
@@ -18,8 +19,6 @@ amplified into spurious monomial terms.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from numpy.polynomial import polynomial as _poly
 from scipy.interpolate import CubicSpline
 
 from .errors import ComputationError, ValidationError
+from .formats import read_numeric_csv
 
 DEFAULT_DEGREE = 17
 
@@ -130,38 +130,13 @@ class FitReport:
 
 def load_profile(csv_source, min_rows: int = DEFAULT_DEGREE + 2) -> ProfileSamples:
     """Read a profile CSV (header ``x_m,y_upper_m,y_lower_m``) into samples."""
-    if hasattr(csv_source, "read"):
-        text = csv_source.read()
-    else:
-        text = Path(csv_source).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("empty profile CSV") from None
-    if tuple(h.strip() for h in header) != PROFILE_CSV_HEADER:
-        raise ValidationError(
-            f"profile CSV header must be {','.join(PROFILE_CSV_HEADER)}, got {','.join(header)}"
-        )
-    upper: list[tuple[float, float]] = []
-    lower: list[tuple[float, float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise ValidationError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        try:
-            x, yu, yl = (float(v) for v in row)
-        except ValueError:
-            raise ValidationError(f"line {lineno}: non-numeric value in {row}") from None
-        upper.append((x, yu))
-        lower.append((x, yl))
-    if len(upper) < min_rows:
-        raise ValidationError(f"need at least {min_rows} samples, got {len(upper)}")
-    xs = [p[0] for p in upper]
+    rows = read_numeric_csv(csv_source, PROFILE_CSV_HEADER)
+    if len(rows) < min_rows:
+        raise ValidationError(f"need at least {min_rows} samples, got {len(rows)}")
+    xs = [x for x, _, _ in rows]
     return ProfileSamples(
-        points_upper=tuple(upper),
-        points_lower=tuple(lower),
+        points_upper=tuple((x, yu) for x, yu, _ in rows),
+        points_lower=tuple((x, yl) for x, _, yl in rows),
         body_length=max(xs) - min(xs),
     )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .profile import PolyCurve, eval_profile
 
 # Robot-scale defaults; the reference profile is a unit-chord shape that
@@ -43,6 +43,8 @@ class SkeletonSpec:
     spine_shape: str = "straight"
 
     def __post_init__(self):
+        require_finite("skeleton spec values", self.body_length, self.head_fraction,
+                       *self.h1_h2, self.thickness_first, self.thickness_ratio)
         if self.body_length <= 0:
             raise ValidationError("body_length must be positive")
         if not 0 < self.head_fraction < 1:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import root
 
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, require_finite
 from .skeleton import SkeletonGraph, SkeletonSpec, spine_segment_thicknesses
 
 DEFAULT_K_REF = 0.05  # N*m/rad at the reference (first-rib) thickness
@@ -82,6 +82,9 @@ class ActuationCommand:
     delta_top: float
     delta_bottom: float
     timestamp: float = 0.0
+
+    def __post_init__(self):
+        require_finite("actuation command", self.delta_top, self.delta_bottom, self.timestamp)
 
     def to_dict(self) -> dict:
         return {

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tailkit import explorer
 from tailkit.cli import main
 from tailkit.export import skeleton_from_json
 
@@ -35,6 +36,13 @@ class TestSkeletonCommand:
         code = main(["skeleton", "--preset", "type7", "--out", str(tmp_path / "x.json")])
         assert code == 1
         assert "unknown preset" in capsys.readouterr().err
+
+    def test_non_finite_parameter_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "skel.json"
+        code = main(["skeleton", "--h1h2", "1:2", "--thickness-ratio", "nan", "--out", str(out)])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -97,6 +105,16 @@ class TestBendCommand:
         assert len(doc["segment_angles_rad"]) == 5
         assert len(doc["midline"]) == 6
         assert all(angle > 0 for angle in doc["segment_angles_rad"])
+
+    def test_non_finite_delta_exits_1(self, skel4, tmp_path, capsys):
+        out = tmp_path / "pose.json"
+        code = main([
+            "bend", "--skeleton", str(skel4), "--delta-top", "nan",
+            "--delta-bottom", "0.0", "--out", str(out),
+        ])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_excessive_delta_exits_1(self, skel4, tmp_path, capsys):
         # 0.045 m exceeds 20% of the ~0.213 m slack
@@ -167,6 +185,35 @@ class TestSweepAndPareto:
         assert len(lines) == 3
         assert plot.read_text().startswith("speed_mm_s,cot")
 
+    def test_default_jobs_starts_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a default sweep must not start a process pool")
+
+        monkeypatch.setattr(explorer, "ProcessPoolExecutor", no_pool)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "h1_h2_values": [[1, 2]], "thickness_ratios": [1, 2], "n_ribs_values": [4],
+        }))
+        assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "r.csv")]) == 0
+
+    @pytest.mark.parametrize("doc", [
+        "[1, 2]",
+        '{"thickness_ratios": ["x"]}',
+        '{"h1_h2_values": [[1, 2, 3]]}',
+        '{"actuation": 5}',
+        '{"actuation": {"amplitude_m": 0.008}}',
+        '{"thickness_ratios": [1, "nan"]}',
+        '{"thickness_ratios": [1, NaN]}',
+    ])
+    def test_bad_grid_exits_1(self, tmp_path, capsys, doc):
+        grid = tmp_path / "grid.json"
+        grid.write_text(doc)
+        out = tmp_path / "report.csv"
+        code = main(["sweep", "--grid", str(grid), "--out", str(out), "--jobs", "1"])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_and_reference_mutually_exclusive(self, tmp_path, capsys):
         assert main(["sweep", "--reference", "--grid", "g.json",
                      "--out", str(tmp_path / "r.csv")]) == 1
@@ -198,6 +245,14 @@ class TestExportCommand:
         text = svg.read_text()
         assert text.startswith("<?xml")
         assert 'class="rib"' in text
+
+    def test_non_standard_json_exits_1(self, skel4, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(skel4.read_text().replace('"thickness_mm": 3.0', '"thickness_mm": NaN', 1))
+        svg = tmp_path / "out.svg"
+        assert main(["export", "--skeleton", str(bad), "--svg", str(svg)]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_byte_identical_runs(self, skel4, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -136,6 +136,19 @@ class TestPredictPower:
         model = PowerModel(exponent=1.5)
         assert PowerModel.from_dict(model.to_dict()) == model
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"p_idle": float("nan")},
+            {"p_actuation_full": float("inf")},
+            {"amplitude_ref": float("nan")},
+            {"exponent": float("nan")},
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match="finite"):
+            PowerModel(**kwargs)
+
 
 class TestAveragePower:
     def test_constant_log_is_pointwise_power(self):

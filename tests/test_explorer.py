@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailkit.energetics import DERIVED_MASS_KG, PowerModel
+from tailkit.energetics import DERIVED_MASS_KG, PowerModel, SwimResult
 from tailkit.errors import ValidationError
 from tailkit.hydro import HydroParams
 from tailkit.explorer import (
@@ -16,6 +16,7 @@ from tailkit.explorer import (
     evaluate_design,
     non_dominated,
     pareto_front,
+    pareto_report_csv,
     parse_report_json,
     reference_records,
     run_sweep,
@@ -206,6 +207,30 @@ class TestReports:
         assert ",,,,," in lines[1]  # metrics empty
         parsed = parse_report_json(emit_report([bad, good], "json"))
         assert parsed[0].error == "solver exploded"
+
+    def test_pareto_csv_ranks_like_pareto_front(self):
+        def record(label, speed, cot):
+            result = SwimResult(
+                speed=speed, speed_bl=speed / 0.3251, power=cot * DERIVED_MASS_KG * speed,
+                mass=DERIVED_MASS_KG, cot=cot, body_length=0.3251,
+            )
+            return DesignRecord(label=label, spec=SkeletonSpec(), result=result)
+
+        records = [
+            record("c", 0.10, 80.0), record("b", 0.15, 120.0), record("a", 0.15, 120.0),
+            record("d", 0.12, 130.0), record("e", 0.08, 70.0),
+        ]
+        report = emit_report(records, "csv").split("\n")
+        front = pareto_report_csv("\n".join(report)).split("\n")
+        assert front[0] == report[0]
+        assert [line.split(",")[0] for line in front[1:-1]] == ["a", "b", "c", "e"]
+        assert [r.label for r in pareto_front(records)] == ["a", "b", "c", "e"]
+        assert set(front[1:-1]) == {line for line in report[1:-1] if ",true," in line}
+
+    @pytest.mark.parametrize("text", ["[NaN]", '[{"label": "x"}]', '["x"]'])
+    def test_bad_report_json_rejected(self, text):
+        with pytest.raises(ValidationError):
+            parse_report_json(text)
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValidationError):

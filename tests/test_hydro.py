@@ -271,6 +271,14 @@ class TestParams:
         with pytest.raises(ValidationError):
             HydroParams(tip_span=-0.1)
 
+    @pytest.mark.parametrize("field", [
+        "rho", "drag_coeff", "frontal_area", "added_mass_coeff", "tip_span",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="finite"):
+            HydroParams(**{field: value})
+
     def test_dict_round_trip(self):
         params = HydroParams(drag_coeff=3.2)
         assert HydroParams.from_dict(params.to_dict()) == params

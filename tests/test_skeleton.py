@@ -43,6 +43,20 @@ class TestSpec:
         with pytest.raises(ValidationError):
             SkeletonSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"body_length": float("nan")},
+            {"head_fraction": float("nan")},
+            {"h1_h2": (1.0, float("inf"))},
+            {"thickness_first": float("inf")},
+            {"thickness_ratio": float("nan")},
+        ],
+    )
+    def test_non_finite_values_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match="finite"):
+            SkeletonSpec(**kwargs)
+
 
 class TestThicknesses:
     def test_six_rib_taper(self):

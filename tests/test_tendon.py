@@ -328,6 +328,13 @@ class TestWaveform:
         assert set(doc) == {"delta_top_m", "delta_bottom_m", "timestamp_s"}
         assert ActuationCommand.from_dict(doc) == cmd
 
+    @pytest.mark.parametrize(
+        "args", [(float("nan"), 0.0), (0.0, float("-inf")), (0.0, 0.0, float("nan"))]
+    )
+    def test_non_finite_command_rejected(self, args):
+        with pytest.raises(ValidationError, match="finite"):
+            ActuationCommand(*args)
+
     def test_command_dict_validation(self):
         with pytest.raises(ValidationError, match="command"):
             ActuationCommand.from_dict({"delta_top_m": 0.001})
