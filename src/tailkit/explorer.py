@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .energetics import DERIVED_MASS_KG, PowerModel, SwimResult, predict_power
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .formats import dump_json, load_json
 from .hydro import HydroParams, steady_speed
 from .profile import (
@@ -86,6 +86,7 @@ class DesignGrid:
     def __post_init__(self):
         if not self.h1_h2_values or not self.thickness_ratios or not self.n_ribs_values:
             raise ValidationError("grid value lists must be non-empty")
+        require_finite("grid actuation", *self.actuation)
 
     @property
     def size(self) -> int:
@@ -374,7 +375,10 @@ def pareto_report_csv(text: str) -> str:
     reader = csv.DictReader(io.StringIO(text))
     if tuple(reader.fieldnames or ()) != REPORT_COLUMNS:
         raise ValidationError(f"records CSV must have columns {','.join(REPORT_COLUMNS)}")
-    scored = [r for r in reader if r["speed_mm_s"] and r["cot"]]
+    rows = list(reader)
+    if any(None in r or None in r.values() for r in rows):
+        raise ValidationError(f"records CSV rows must have {len(REPORT_COLUMNS)} cells")
+    scored = [r for r in rows if r["speed_mm_s"] and r["cot"]]
     if not scored:
         raise ValidationError("no records with speed and COT to rank")
     try:

@@ -204,6 +204,7 @@ class TestSweepAndPareto:
         '{"actuation": {"amplitude_m": 0.008}}',
         '{"thickness_ratios": [1, "nan"]}',
         '{"thickness_ratios": [1, NaN]}',
+        '{"actuation": {"amplitude_m": "nan", "frequency_hz": 1.5}}',
     ])
     def test_bad_grid_exits_1(self, tmp_path, capsys, doc):
         grid = tmp_path / "grid.json"
@@ -222,6 +223,16 @@ class TestSweepAndPareto:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["pareto", "--records", str(bad), "--out", str(tmp_path / "f.csv")]) == 1
+
+    @pytest.mark.parametrize("row", ["good,1.0,2.0,1.0,6,163.18,0.502,9.33,0.6022,95.0,false",
+                                     "good,1.0,2.0,1.0,6,163.18,0.502,9.33,0.6022,95.0,false,x,y"])
+    def test_pareto_rejects_ragged_rows(self, tmp_path, capsys, row):
+        report = tmp_path / "report.csv"
+        report.write_text(",".join(explorer.REPORT_COLUMNS) + "\n" + row + "\n")
+        front = tmp_path / "front.csv"
+        assert main(["pareto", "--records", str(report), "--out", str(front)]) == 1
+        assert "cells" in capsys.readouterr().err
+        assert not front.exists()
 
     def test_pareto_skips_error_rows(self, tmp_path):
         report = tmp_path / "report.csv"
