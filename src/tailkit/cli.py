@@ -12,6 +12,7 @@ comments) can override built-in defaults; explicit flags always win.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import energetics, explorer, hydro, skeleton, tendon
 from .energetics import PowerModel, SwimResult
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, require_finite
 from .export import skeleton_from_json, skeleton_to_json, skeleton_to_svg
 from .formats import dump_json, load_json
 from .profile import (
@@ -209,7 +210,8 @@ def _swim_result(args, config) -> SwimResult:
     n_samples = _resolve(args.samples, config, "n_samples", hydro.DEFAULT_N_SAMPLES, int)
 
     graph = _load_skeleton(args.skeleton)
-    body_length = args.body_length or skeleton.infer_body_length(graph)
+    body_length = (args.body_length if args.body_length is not None
+                   else skeleton.infer_body_length(graph))
     params = hydro.HydroParams()
     if args.hydro is not None:
         params = hydro.HydroParams.from_dict(_load_json(args.hydro, "hydro JSON"))
@@ -276,6 +278,7 @@ def _cmd_export(args) -> int:
 def _cmd_analyze(args) -> int:
     config = _read_config(args.config)
     mass = _resolve(args.mass, config, "mass_kg", energetics.DERIVED_MASS_KG, float)
+    require_finite("mass", mass)
     power = energetics.average_power(
         energetics.load_power_log(_require_input(args.power_log, "power log CSV"))
     )
@@ -295,6 +298,7 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="tailkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

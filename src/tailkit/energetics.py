@@ -9,7 +9,8 @@ convention, so it is applied verbatim and documented here.
 The robot's mass is not directly known; the default below is derived by
 inverting COT = P/(m*v) at the best design's measured operating point
 (9.33 W, 0.163181 m/s, COT 95) and is flagged as derived wherever it
-appears. Both logs are numeric CSVs, read by ``formats.read_numeric_csv``.
+appears. Both logs are numeric CSVs, read by ``formats.read_numeric_csv``
+into float arrays that stay arrays through ``MeasurementLog`` to the result.
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ class SwimResult:
     _CONSISTENCY_RTOL = 0.01  # printed reference values are rounded
 
     def __post_init__(self):
+        require_finite("mass", self.mass)
+        require_finite("body_length", self.body_length)
+        require_finite("speed, power and cost of transport", self.speed, self.speed_bl,
+                       self.power, self.cot)
         if self.speed < 0:
             raise ValidationError("speed cannot be negative")
         if self.mass <= 0 or self.body_length <= 0:
@@ -127,22 +132,31 @@ class SwimResult:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementLog:
-    """Electrical samples (t, V, I) and/or tracked positions (t, x)."""
+    """Electrical samples (t, V, I) as an (n, 3) float array and/or tracked
+    positions (t, x) as an (n, 2) float array; sequences of rows are converted."""
 
-    samples: tuple[tuple[float, float, float], ...] = ()
-    track: tuple[tuple[float, float], ...] = ()
+    samples: np.ndarray = ()
+    track: np.ndarray = ()
 
     def __post_init__(self):
-        for name, rows in (("samples", self.samples), ("track", self.track)):
-            times = [r[0] for r in rows]
-            if any(b <= a for a, b in zip(times, times[1:])):
+        for name, width in (("samples", 3), ("track", 2)):
+            rows = np.asarray(getattr(self, name), dtype=float)
+            if rows.size == 0:
+                rows = rows.reshape(0, width)
+            if rows.ndim != 2 or rows.shape[1] != width:
+                raise ValidationError(f"{name} rows must have {width} values each")
+            # NaN compares false, so a NaN time fails this check too
+            if not np.all(np.diff(rows[:, 0]) > 0):
                 raise ValidationError(f"{name} times must be strictly increasing")
+            object.__setattr__(self, name, rows)
 
 
 def cot(power: float, mass: float, speed: float) -> float:
     """Cost of transport P/(m*v); undefined at zero speed."""
+    require_finite("mass", mass)
+    require_finite("power and speed", power, speed)
     if mass <= 0:
         raise ValidationError("mass must be positive")
     if speed <= 0:
@@ -182,16 +196,15 @@ def average_power(log: MeasurementLog) -> float:
     """Time-weighted mean electrical power of a measured log, W."""
     if len(log.samples) < 2:
         raise ValidationError("need at least 2 electrical samples")
-    t = np.array([s[0] for s in log.samples])
-    p = np.array([s[1] * s[2] for s in log.samples])
-    return float(np.trapezoid(p, t) / (t[-1] - t[0]))
+    t, volts, amps = log.samples.T
+    return float(np.trapezoid(volts * amps, t) / (t[-1] - t[0]))
 
 
 def speed_from_track(log: MeasurementLog) -> float:
     """Mean speed over a tracked run; negative if the run went backward."""
     if len(log.track) < 2:
         raise ValidationError("need at least 2 track points")
-    (t0, x0), (t1, x1) = log.track[0], log.track[-1]
+    (t0, x0), (t1, x1) = log.track[[0, -1]].tolist()
     if t1 == t0:
         raise ValidationError("track spans zero elapsed time")
     return (x1 - x0) / (t1 - t0)
@@ -199,9 +212,9 @@ def speed_from_track(log: MeasurementLog) -> float:
 
 def load_power_log(source) -> MeasurementLog:
     """Read an electrical log CSV with header ``t_s,voltage_v,current_a``."""
-    return MeasurementLog(samples=tuple(read_numeric_csv(source, POWER_CSV_HEADER)))
+    return MeasurementLog(samples=read_numeric_csv(source, POWER_CSV_HEADER))
 
 
 def load_track(source) -> MeasurementLog:
     """Read a displacement track CSV with header ``t_s,x_m``."""
-    return MeasurementLog(track=tuple(read_numeric_csv(source, TRACK_CSV_HEADER)))
+    return MeasurementLog(track=read_numeric_csv(source, TRACK_CSV_HEADER))

@@ -1,52 +1,91 @@
 """The two generic file formats: numeric CSV and strict JSON.
 
-Numeric CSV (a header row, then rows of floats) carries the profile and
-both measurement logs. JSON is strict both ways: writers refuse NaN and
-infinities, readers refuse the NaN/Infinity tokens and numbers that
-overflow a double, so every document is standard JSON (RFC 8259). The
-report CSV has named, typed columns and belongs to ``explorer``.
+Numeric CSV (a header row, then rows of finite floats, read into one
+float64 array) carries the profile and both measurement logs. JSON is
+strict both ways: writers refuse NaN and infinities, readers refuse the
+NaN/Infinity tokens and numbers that overflow a double, so every
+document is standard JSON (RFC 8259). The report CSV has named, typed
+columns and belongs to ``explorer``.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ValidationError
 
 
-def read_numeric_csv(source, header: tuple[str, ...]) -> list[tuple[float, ...]]:
-    """Rows of a numeric CSV as float tuples.
+def read_numeric_csv(source, header: tuple[str, ...]) -> np.ndarray:
+    """A numeric CSV as a float64 array of shape (rows, len(header)).
 
     ``source`` is a path or a file-like object. The header must equal
-    ``header`` after stripping each name; blank rows are skipped. A wrong
-    field count or a non-numeric value names its line.
+    ``header`` after stripping each name. Blank and whitespace-only rows
+    are skipped; fields may be padded with whitespace or quoted. Every
+    value must be a finite decimal number; a wrong field count, a
+    non-numeric or a non-finite value names its line.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = Path(source).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
-    try:
-        got = tuple(h.strip() for h in next(reader))
-    except StopIteration:
-        raise ValidationError("empty CSV") from None
+    if not text:
+        raise ValidationError("empty CSV")
+    # universal newlines for file objects too, so line numbers match an editor's
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    got = tuple(h.strip() for h in _fields(lines[0], 1))
     if got != header:
         raise ValidationError(f"CSV header must be {','.join(header)}, got {','.join(got)}")
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
+    rows = [line for line in lines[1:] if line.strip()]
+    if not rows:
+        return np.empty((0, len(header)))
+    try:
+        data = np.loadtxt(rows, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    # fewer rows than lines means a quoted field ran on across a line break
+    if data is None or data.shape != (len(rows), len(header)) or not np.isfinite(data).all():
+        _raise_first_bad_line(lines, len(header))
+    return data
+
+
+def _fields(line: str, lineno: int) -> list[str]:
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as e:
+        raise ValidationError(f"line {lineno}: {e}") from None
+
+
+def _number(field: str) -> float:
+    """``float`` restricted to what ``np.loadtxt`` reads: ASCII, no underscores."""
+    token = field.strip()
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a decimal number: {token!r}")
+    return float(token)
+
+
+def _raise_first_bad_line(lines: list[str], width: int):
+    """Name the first data line that ``read_numeric_csv`` refuses; only its
+    error path runs this scan."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
             continue
-        if len(row) != len(header):
-            raise ValidationError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        if line.count('"') % 2:  # the open quote runs on into the next line
+            raise ValidationError(f"line {lineno}: unbalanced quote")
+        row = _fields(line, lineno)
+        if len(row) != width:
+            raise ValidationError(f"line {lineno}: expected {width} fields, got {len(row)}")
         try:
-            rows.append(tuple(map(float, row)))
+            values = [_number(field) for field in row]
         except ValueError:
             raise ValidationError(f"line {lineno}: non-numeric value in {row}") from None
-    return rows
+        if not all(map(math.isfinite, values)):
+            raise ValidationError(f"line {lineno}: non-finite value in {row}")
+    raise ValidationError("CSV is not numeric")
 
 
 def dump_json(doc) -> str:

@@ -130,9 +130,10 @@ class FitReport:
 
 def load_profile(csv_source, min_rows: int = DEFAULT_DEGREE + 2) -> ProfileSamples:
     """Read a profile CSV (header ``x_m,y_upper_m,y_lower_m``) into samples."""
-    rows = read_numeric_csv(csv_source, PROFILE_CSV_HEADER)
-    if len(rows) < min_rows:
-        raise ValidationError(f"need at least {min_rows} samples, got {len(rows)}")
+    data = read_numeric_csv(csv_source, PROFILE_CSV_HEADER)
+    if len(data) < min_rows:
+        raise ValidationError(f"need at least {min_rows} samples, got {len(data)}")
+    rows = data.tolist()  # ProfileSamples holds Python floats
     xs = [x for x, _, _ in rows]
     return ProfileSamples(
         points_upper=tuple((x, yu) for x, yu, _ in rows),

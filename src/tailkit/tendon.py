@@ -160,6 +160,7 @@ def segment_stiffnesses(spec: SkeletonSpec, k_ref: float = DEFAULT_K_REF) -> lis
 
 def stiffnesses_from_graph(graph: SkeletonGraph, k_ref: float = DEFAULT_K_REF) -> list[float]:
     """Segment stiffnesses recovered from a graph's rib thicknesses."""
+    require_finite("k_ref", k_ref)
     ribs = sorted(graph.ribs, key=lambda r: r.x)
     if len(ribs) < 2:
         raise ValidationError("need at least 2 ribs")

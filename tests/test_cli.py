@@ -3,8 +3,9 @@ import json
 import pytest
 
 from tailkit import explorer
-from tailkit.cli import main
+from tailkit.cli import build_parser, main
 from tailkit.export import skeleton_from_json
+from tailkit.profile import reference_profile_path
 
 
 @pytest.fixture()
@@ -92,6 +93,23 @@ class TestFitCommand:
         run_ok(["fit", "--profile", str(reference_profile_path()), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+
+    @pytest.mark.parametrize("token, message", [("nan", "non-finite"), ("inf", "non-finite"),
+                                                ("1_0", "non-numeric")])
+    def test_bad_profile_value_names_its_line(self, tmp_path, capsys, token, message):
+        lines = reference_profile_path().read_text().splitlines()
+        fields = lines[50].split(",")
+        fields[1] = token
+        lines[50] = ",".join(fields)
+        profile = tmp_path / "profile.csv"
+        profile.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fit.json"
+        code = main(["fit", "--profile", str(profile), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"line 51: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 class TestBendCommand:
     def test_pose_json_shape(self, skel4, tmp_path):
@@ -288,6 +306,20 @@ class TestAnalyzeCommand:
         )
 
 
+    @pytest.mark.parametrize("row, lineno", [("2.0,3.7,nan", 4), ("nan,3.7,2.0", 4),
+                                             ("2.0,3.7,1_0", 4)])
+    def test_bad_log_value_names_its_line(self, tmp_path, capsys, row, lineno):
+        power = tmp_path / "power.csv"
+        power.write_text(f"t_s,voltage_v,current_a\n0.0,3.7,2.0\n1.0,3.7,2.0\n{row}\n")
+        track = tmp_path / "track.csv"
+        track.write_text("t_s,x_m\n0.0,0.0\n10.0,1.631813\n")
+        code = main(["analyze", "--power-log", str(power), "--track", str(track)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"line {lineno}: " in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 class TestCliBehavior:
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["skeleton", "--bogus", "x", "--out", "y.json"]) == 1
@@ -325,3 +357,71 @@ class TestCliBehavior:
         config = tmp_path / "tailkit.cfg"
         config.write_text("amplitude_m: 0.002\n")
         assert main(["swim", "--skeleton", str(skel4), "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("command, flags, name", [
+        ("swim", ["--k-ref", "nan"], "k_ref"),
+        ("swim", ["--k-ref", "inf"], "k_ref"),
+        ("swim", ["--mass", "nan"], "mass"),
+        ("swim", ["--mass", "inf"], "mass"),
+        ("swim", ["--body-length", "nan"], "body_length"),
+        ("bend", ["--k-ref", "nan"], "k_ref"),
+        ("analyze", ["--mass", "nan"], "mass"),
+    ])
+    def test_non_finite_flag_names_its_quantity(self, skel4, tmp_path, capsys, command, flags,
+                                               name):
+        out = tmp_path / "out.json"
+        power = tmp_path / "power.csv"
+        power.write_text("t_s,voltage_v,current_a\n0.0,3.7,2.0\n1.0,3.7,2.0\n")
+        track = tmp_path / "track.csv"
+        track.write_text("t_s,x_m\n0.0,0.0\n10.0,1.631813\n")
+        argv = {
+            "swim": ["swim", "--skeleton", str(skel4)],
+            "bend": ["bend", "--skeleton", str(skel4), "--delta-top", "0.004",
+                     "--delta-bottom", "0", "--out", str(out)],
+            "analyze": ["analyze", "--power-log", str(power), "--track", str(track)],
+        }[command]
+        code = main(argv + flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {name} must be finite\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_body_length_zero_is_not_inferred(self, skel4, capsys):
+        assert main(["swim", "--skeleton", str(skel4), "--body-length", "0"]) == 1
+        assert "body_length must be positive" in capsys.readouterr().err
+
+    def test_cached_parser_matches_a_fresh_one(self, skel4, tmp_path, capsys):
+        """One parser serves successive commands, failing ones included,
+        exactly as a parser built for each call would."""
+        outs = tmp_path / "outs"
+        outs.mkdir()
+        argvs = [
+            ["skeleton", "--preset", "type2", "--out", str(outs / "s.json")],
+            ["swim", "--skeleton", str(skel4), "--freq", "nan"],
+            ["swim", "--skeleton", str(skel4)],
+            ["bend", "--skeleton", str(skel4), "--bogus"],
+            ["sweep", "--reference", "--out", str(outs / "r.csv")],
+            ["export"],
+            ["bend", "--skeleton", str(skel4), "--delta-top", "0.002",
+             "--delta-bottom", "0", "--out", str(outs / "b.json")],
+        ]
+
+        def run_all(fresh):
+            results = []
+            for argv in argvs:
+                if fresh:
+                    build_parser.cache_clear()
+                code = main(argv)
+                captured = capsys.readouterr()
+                written = {p.name: p.read_bytes() for p in sorted(outs.iterdir())}
+                results.append((code, captured.out, captured.err, written))
+                for p in outs.iterdir():
+                    p.unlink()
+            return results
+
+        build_parser.cache_clear()
+        cached = run_all(fresh=False)
+        assert [r[0] for r in cached] == [0, 1, 0, 1, 0, 1, 0]
+        assert build_parser.cache_info().misses == 1
+        assert cached == run_all(fresh=True)

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,16 @@ class TestCot:
         assert power / (value * speed) == pytest.approx(mass, rel=1e-12)
         assert value * mass * speed == pytest.approx(power, rel=1e-12)
 
+
+    @pytest.mark.parametrize("args, name", [
+        ((1.0, float("nan"), 0.1), "mass"),
+        ((1.0, float("inf"), 0.1), "mass"),
+        ((float("nan"), 1.0, 0.1), "power and speed"),
+        ((1.0, 1.0, float("inf")), "power and speed"),
+    ])
+    def test_non_finite_inputs_rejected(self, args, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+            cot(*args)
 
 class TestSpeedBl:
     def test_best_design_row(self):
@@ -168,6 +179,35 @@ class TestAveragePower:
             MeasurementLog(samples=((0.0, 3.7, 1.0), (0.0, 3.7, 1.0)))
 
 
+    @pytest.mark.parametrize("times", [(0.0, float("nan"), 2.0), (float("nan"), 1.0, 2.0),
+                                       (0.0, 1.0, float("nan"))])
+    def test_nan_time_rejected(self, times):
+        with pytest.raises(ValidationError, match="samples times must be strictly increasing"):
+            MeasurementLog(samples=tuple((t, 3.7, 1.0) for t in times))
+        with pytest.raises(ValidationError, match="track times must be strictly increasing"):
+            MeasurementLog(track=tuple((t, 0.0) for t in times))
+
+    def test_rows_of_the_wrong_width_rejected(self):
+        with pytest.raises(ValidationError, match="samples rows must have 3 values"):
+            MeasurementLog(samples=((0.0, 3.7), (1.0, 3.7)))
+        with pytest.raises(ValidationError, match="track rows must have 2 values"):
+            MeasurementLog(track=np.zeros(4))
+
+    @given(steps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=40),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_columns_match_the_row_by_row_reference(self, steps, seed):
+        """Array columns give the bits of the row-by-row trapezoid."""
+        rng = np.random.default_rng(seed)
+        t = np.concatenate([[0.0], np.cumsum(steps)]).tolist()
+        rows = tuple(zip(t, rng.uniform(3.0, 4.2, len(t)).tolist(),
+                         rng.uniform(0.0, 3.0, len(t)).tolist()))
+        times = np.array([r[0] for r in rows])
+        watts = np.array([r[1] * r[2] for r in rows])
+        reference = float(np.trapezoid(watts, times) / (times[-1] - times[0]))
+        assert average_power(MeasurementLog(samples=rows)) == reference
+        assert average_power(MeasurementLog(samples=np.array(rows))) == reference
+
 class TestSpeedFromTrack:
     def test_reference_speed_reproduced(self):
         log = MeasurementLog(track=((0.0, 0.0), (10.0, 1.631813)))
@@ -186,16 +226,20 @@ class TestSpeedFromTrack:
             speed_from_track(MeasurementLog(track=((0.0, 0.0),)))
 
 
+    def test_speed_is_a_python_float(self):
+        speed = speed_from_track(MeasurementLog(track=np.array([[0.0, 0.0], [4.0, 0.6]])))
+        assert type(speed) is float and speed == 0.6 / 4.0
+
 class TestCsvLoaders:
     def test_power_log_round_trip(self):
         text = "t_s,voltage_v,current_a\n0.0,3.7,0.5\n1.0,3.7,0.6\n"
         log = load_power_log(io.StringIO(text))
-        assert log.samples == ((0.0, 3.7, 0.5), (1.0, 3.7, 0.6))
+        assert log.samples.tolist() == [[0.0, 3.7, 0.5], [1.0, 3.7, 0.6]]
 
     def test_track_round_trip(self):
         text = "t_s,x_m\n0.0,0.0\n2.0,0.3\n"
         log = load_track(io.StringIO(text))
-        assert log.track == ((0.0, 0.0), (2.0, 0.3))
+        assert log.track.tolist() == [[0.0, 0.0], [2.0, 0.3]]
 
     def test_wrong_header_rejected(self):
         with pytest.raises(ValidationError, match="header"):
@@ -206,6 +250,11 @@ class TestCsvLoaders:
         with pytest.raises(ValidationError, match="line 3"):
             load_track(io.StringIO(text))
 
+
+    def test_non_finite_value_names_its_line(self):
+        text = "t_s,voltage_v,current_a\n0.0,3.7,0.5\n\n1.0,3.7,nan\n"
+        with pytest.raises(ValidationError, match="line 4: non-finite"):
+            load_power_log(io.StringIO(text))
 
 class TestSwimResult:
     def test_from_power_consistency(self):
@@ -231,3 +280,13 @@ class TestSwimResult:
         assert set(result.to_dict()) == {
             "speed_mm_s", "speed_bl_s", "power_w", "mass_kg", "cot", "body_length_m",
         }
+
+    @pytest.mark.parametrize("field, name", [
+        ("mass", "mass"), ("body_length", "body_length"), ("speed", "speed"), ("power", "power"),
+    ])
+    def test_non_finite_values_rejected(self, field, name):
+        values = dict(speed=0.15, speed_bl=0.15 / 0.3251, power=5.0, mass=0.6,
+                      cot=5.0 / (0.6 * 0.15), body_length=0.3251)
+        values[field] = float("nan")
+        with pytest.raises(ValidationError, match=f"{name}.* must be finite"):
+            SwimResult(**values)

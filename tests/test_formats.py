@@ -1,9 +1,13 @@
+import csv
 import io
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tailkit
 from tailkit.errors import ValidationError
@@ -11,23 +15,34 @@ from tailkit.formats import dump_json, load_json, read_numeric_csv
 
 HEADER = ("t_s", "x_m")
 
+_HEADERS = st.sampled_from([HEADER, ("t_s", "voltage_v", "current_a")])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_BLANK = st.sampled_from(["", " ", "\t ", "   "])
+_FIELD_TEXT = st.sampled_from([
+    repr,
+    lambda v: f" {v!r}\t",
+    lambda v: f'"{v!r}"',
+    lambda v: f'" {v!r} "',
+    lambda v: f"{v:.17e}",
+])
+
 
 class TestNumericCsv:
     def test_path_and_file_object_agree(self, tmp_path):
         text = "t_s,x_m\n0.0,1.5\n2,-3e-2\n"
         path = tmp_path / "track.csv"
         path.write_text(text)
-        expected = [(0.0, 1.5), (2.0, -0.03)]
-        assert read_numeric_csv(path, HEADER) == expected
-        assert read_numeric_csv(str(path), HEADER) == expected
-        assert read_numeric_csv(io.StringIO(text), HEADER) == expected
+        expected = [[0.0, 1.5], [2.0, -0.03]]
+        assert read_numeric_csv(path, HEADER).tolist() == expected
+        assert read_numeric_csv(str(path), HEADER).tolist() == expected
+        assert read_numeric_csv(io.StringIO(text), HEADER).tolist() == expected
 
     def test_header_names_are_stripped(self):
-        assert read_numeric_csv(io.StringIO(" t_s , x_m \n1,2\n"), HEADER) == [(1.0, 2.0)]
+        assert read_numeric_csv(io.StringIO(" t_s , x_m \n1,2\n"), HEADER).tolist() == [[1.0, 2.0]]
 
     def test_blank_rows_skipped(self):
         text = "t_s,x_m\n\n1,2\n   \n3,4\n"
-        assert read_numeric_csv(io.StringIO(text), HEADER) == [(1.0, 2.0), (3.0, 4.0)]
+        assert read_numeric_csv(io.StringIO(text), HEADER).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     @pytest.mark.parametrize(
         "text, message",
@@ -42,6 +57,75 @@ class TestNumericCsv:
     def test_malformed_input_names_the_problem(self, text, message):
         with pytest.raises(ValidationError, match=message):
             read_numeric_csv(io.StringIO(text), HEADER)
+
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t_s,x_m\n1,2\n3,nan\n", "line 3: non-finite value in \\['3', 'nan'\\]"),
+            ("t_s,x_m\n1,-inf\n", "line 2: non-finite"),
+            ("t_s,x_m\n1,1e999\n", "line 2: non-finite"),
+            ("t_s,x_m\nnan,2\n", "line 2: non-finite"),
+            ("t_s,x_m\n1,1_0\n", "line 2: non-numeric"),
+            ("t_s,x_m\n1,\u0661\n", "line 2: non-numeric"),
+            ('t_s,x_m\n1,"2\n3,4\n', "line 2: unbalanced quote"),
+            ("t_s,x_m\n1,2,3\n4,5,6\n", "line 2: expected 2 fields, got 3"),
+            ("t_s,x_m\r\n1,2\r\n\r\n3,x\r\n", "line 4: non-numeric"),
+            pytest.param("t_s,x_m\n1," + "9" * 200_000 + "\n", "line 2: field larger than field limit",
+                         id="oversized-field"),
+        ],
+    )
+    def test_refused_values_name_their_line(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            read_numeric_csv(io.StringIO(text), HEADER)
+
+    def test_header_only_gives_an_empty_table(self):
+        data = read_numeric_csv(io.StringIO("t_s,x_m\n\n"), HEADER)
+        assert data.shape == (0, 2) and data.dtype == np.float64
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_valid_files_parse_like_float(self, data):
+        header = data.draw(_HEADERS)
+        rows = data.draw(st.lists(st.lists(_FINITE, min_size=len(header), max_size=len(header)),
+                                  min_size=1, max_size=25))
+        lines, expected = [",".join(header)], []
+        for row in rows:
+            lines.extend(data.draw(st.lists(_BLANK, max_size=2)))
+            lines.append(",".join(data.draw(_FIELD_TEXT)(v) for v in row))
+            expected.append([float(field) for field in next(csv.reader([lines[-1]]))])
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = newline.join(lines) + data.draw(st.sampled_from(["", newline]))
+        got = read_numeric_csv(io.StringIO(text), header)
+        expected = np.array(expected)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()  # bit-identical, -0.0 included
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_corruption_names_its_line(self, data):
+        header = data.draw(_HEADERS)
+        width = len(header)
+        rows = data.draw(st.lists(st.lists(_FINITE, min_size=width, max_size=width),
+                                  min_size=1, max_size=25))
+        lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+        lineno = data.draw(st.integers(2, len(lines)))  # 1-based; line 1 is the header
+        fields = lines[lineno - 1].split(",")
+        kind = data.draw(st.sampled_from(["extra", "missing", "token", "non-finite"]))
+        if kind == "extra":
+            fields.append("1.0")
+        elif kind == "missing":
+            fields.pop()
+        else:
+            tokens = (["x", "", "1.2.3", "--1", "0x10", "1d5", "1_0", "\u0661"] if kind == "token"
+                      else ["nan", "NaN", "inf", "-Infinity", "1e999"])
+            fields[data.draw(st.integers(0, width - 1))] = data.draw(st.sampled_from(tokens))
+        lines[lineno - 1] = ",".join(fields)
+        message = {"extra": f"expected {width} fields, got {width + 1}",
+                   "missing": f"expected {width} fields, got {width - 1}",
+                   "token": "non-numeric", "non-finite": "non-finite"}[kind]
+        with pytest.raises(ValidationError, match=f"^line {lineno}: {message}"):
+            read_numeric_csv(io.StringIO("\n".join(lines) + "\n"), header)
 
 
 class TestStrictJson:
