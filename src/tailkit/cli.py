@@ -300,6 +300,8 @@ def _cmd_analyze(args) -> int:
 
 @functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call: parsing does not change it, so callers must not either."""
     parser = _Parser(prog="tailkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
