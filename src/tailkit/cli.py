@@ -279,6 +279,8 @@ def _cmd_analyze(args) -> int:
     config = _read_config(args.config)
     mass = _resolve(args.mass, config, "mass_kg", energetics.DERIVED_MASS_KG, float)
     require_finite("mass", mass)
+    if mass <= 0:  # cot() checks it too, but is skipped when the speed is not positive
+        raise ValidationError("mass must be positive")
     power = energetics.average_power(
         energetics.load_power_log(_require_input(args.power_log, "power log CSV"))
     )

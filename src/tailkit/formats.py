@@ -47,8 +47,14 @@ def read_numeric_csv(source, header: tuple[str, ...]) -> np.ndarray:
         data = np.loadtxt(rows, delimiter=",", quotechar='"', comments=None, ndmin=2)
     except ValueError:
         data = None
-    # fewer rows than lines means a quoted field ran on across a line break
-    if data is None or data.shape != (len(rows), len(header)) or not np.isfinite(data).all():
+    # fewer rows than lines means a quoted field ran on across a line break;
+    # loadtxt closes a quote left open on the last line without complaint
+    if (
+        data is None
+        or data.shape != (len(rows), len(header))
+        or not np.isfinite(data).all()
+        or rows[-1].count('"') % 2
+    ):
         _raise_first_bad_line(lines, len(header))
     return data
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ComputationError, ValidationError, require_finite
 from .skeleton import SkeletonGraph
-from .tendon import CableRouting, actuation_waveform, bend_antagonistic
+from .tendon import CableRouting, bend_antagonistic, waveform_delta
 
 DEFAULT_N_SAMPLES = 64
 MAX_SPEED_M_S = 2.0
@@ -123,7 +123,7 @@ def sample_kinematics(
         raise ValidationError("amplitude must be finite and nonnegative")
     period = 1.0 / frequency
     times = [period * j / n_samples for j in range(n_samples)]
-    deltas = [actuation_waveform(amplitude, frequency, t).delta_top for t in times]
+    deltas = [waveform_delta(amplitude, frequency, t) for t in times]
     poses = bend_antagonistic(graph, routing, deltas, stiffnesses)
     return MidlineHistory(
         times=tuple(times), midlines=tuple(p.midline for p in poses), period=period

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
-from scipy.interpolate import CubicSpline
 
 from .errors import ComputationError, ValidationError
 from .formats import read_numeric_csv
@@ -188,6 +187,58 @@ def _find_gap(xs: np.ndarray) -> tuple[int, float, float]:
     return i, float(xs[i]), float(xs[i + 1])
 
 
+def _natural_cubic_spline(x: np.ndarray, y: np.ndarray, x_eval: np.ndarray) -> np.ndarray:
+    """Values at ``x_eval`` of the natural cubic spline through (x, y).
+
+    ``x`` is strictly increasing with at least 2 points. The knot slopes
+    s solve the tridiagonal system that scipy's
+    ``CubicSpline(x, y, bc_type="natural")`` builds, eliminated with
+    partial pivoting in the order of LAPACK's dgtsv, and each piece is
+    evaluated as y + s*z + c1*z**2 + c0*z**3 as scipy's ``PPoly`` does,
+    so the values agree with scipy's to the last bit.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # row i: dl[i-1]*s[i-1] + d[i]*s[i] + du[i]*s[i+1] = b[i]; the natural
+    # ends (zero second derivative) fill rows 0 and n-1
+    d = np.empty(n)
+    d[0], d[-1] = 2 * dx[0], 2 * dx[-1]
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du = np.concatenate([dx[:1], dx[:-1]]).tolist()
+    dl = np.concatenate([dx[1:], dx[-1:]]).tolist()
+    b = np.empty(n)
+    b[0], b[-1] = 3 * (y[1] - y[0]), 3 * (y[-1] - y[-2])
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d, b = d.tolist(), b.tolist()
+    du2 = [0.0] * n  # fill-in of the second superdiagonal by row swaps
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+        else:
+            fact = d[i] / dl[i]
+            below = d[i + 1]
+            d[i], d[i + 1] = dl[i], du[i] - fact * below
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du2[i]
+            du[i] = below
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    s = [0.0] * n
+    s[-1] = b[-1] / d[-1]
+    s[-2] = (b[-2] - du[-1] * s[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        s[i] = (b[i] - du[i] * s[i + 1] - du2[i] * s[i + 2]) / d[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0, c1 = t / dx, (slope - s[:-1]) / dx - t
+    i = np.clip(np.searchsorted(x, x_eval, side="right") - 1, 0, n - 2)
+    z = x_eval - x[i]
+    return y[i] + s[i] * z + c1[i] * (z * z) + c0[i] * (z * z * z)
+
+
 def interpolate_gap(samples: ProfileSamples, n_fill: int) -> ProfileSamples:
     """Bridge the largest upper-contour gap with a natural cubic spline.
 
@@ -204,9 +255,8 @@ def interpolate_gap(samples: ProfileSamples, n_fill: int) -> ProfileSamples:
     xs = np.array([p[0] for p in samples.points_upper])
     ys = np.array([p[1] for p in samples.points_upper])
     _, gap_lo, gap_hi = _find_gap(xs)
-    spline = CubicSpline(xs, ys, bc_type="natural")
     fill_x = gap_lo + (gap_hi - gap_lo) * np.arange(1, n_fill + 1) / (n_fill + 1)
-    fill_y = spline(fill_x)
+    fill_y = _natural_cubic_spline(xs, ys, fill_x)
     merged = sorted(
         list(samples.points_upper) + [(float(x), float(y)) for x, y in zip(fill_x, fill_y)]
     )

@@ -13,11 +13,14 @@ The solve is quasi-static (no tail inertia) and exploits that the
 polyline length decomposes into per-joint terms: the cable segment
 between guides i and i+1 has length |R(theta_i) a_i - b_i| with a_i,
 b_i fixed by the straight-pose geometry, so lengths, their derivatives
-and the geometric shortening limit are closed-form. Runs of
-antagonistic commands (one cable taut at a time, as over a swimming
-period) are solved together by a bordered Newton iteration that costs
-O(n_seg) per step (``bend_antagonistic``); a single pose is solved by
-a general root find with load continuation (``bend_from_cables``).
+and the geometric shortening limit are closed-form. A pose with one
+taut cable, whether a single command (``bend_from_cables``) or a run of
+antagonistic ones solved together, as over a swimming period
+(``bend_antagonistic``), comes from a bordered Newton iteration that
+costs O(n_seg) per step. A command that shortens both cables, or a
+single-cable one on which Newton fails (stiffnesses ~100x apart), is
+solved by a general root find with load continuation; that is the only
+use of scipy, which is imported on that path alone.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import root
 
 from .errors import ComputationError, ValidationError, require_finite
 from .skeleton import SkeletonGraph, SkeletonSpec, spine_segment_thicknesses
@@ -215,11 +217,8 @@ class _Chain:
         d1 = (p * sin - q * cos) / ell
         return ell, d1, (pc - d1**2) / ell
 
-    def cable_length(self, theta: np.ndarray, top: bool) -> float:
-        return float(np.sum(self.segment_lengths(theta, 0 if top else 1)[0]))
-
-    def cable_length_grad(self, theta: np.ndarray, top: bool) -> np.ndarray:
-        return self.segment_lengths(theta, 0 if top else 1)[1]
+    def cable_length(self, theta: np.ndarray, cable: int) -> float:
+        return float(np.sum(self.segment_lengths(theta, cable)[0]))
 
     def min_cable_lengths(self) -> np.ndarray:
         """Geometric lower bound of each cable's length over admissible angles.
@@ -289,34 +288,37 @@ def _check_angle_range(theta: np.ndarray) -> None:
 def _solve_constrained(
     chain: _Chain,
     k: np.ndarray,
-    targets: list[tuple[bool, float]],
+    targets: list[tuple[int, float]],
 ) -> np.ndarray:
     """Minimize the spring energy subject to taut-cable length targets.
 
-    Solves the stationarity system k_i*theta_i = sum_a lambda_a * dL_a/dtheta_i
-    together with the length constraints, ramping the load from zero so the
-    root tracker stays on the energy-minimizing branch.
+    ``targets`` holds (cable row, length) pairs. Solves the stationarity
+    system k_i*theta_i = sum_a lambda_a * dL_a/dtheta_i together with the
+    length constraints, ramping the load from zero so the root tracker
+    stays on the energy-minimizing branch.
 
-    This general root find serves single poses, including commands that
-    shorten both cables; runs of antagonistic phases go through
-    ``_solve_one_cable``. Single antagonistic poses stay here for now:
-    moved onto the Newton solve they get about 13x faster, and the
-    benchmark's pose_stream workload, which keeps one record per
-    operation, then grows its peak memory past its bound.
+    Commands that shorten both cables come here, and so do single-cable
+    commands that ``_solve_one_cable`` fails on. Two bordering rows in
+    that Newton iteration with the same load ramp are not enough: from
+    the straight pose it can fail, or converge to a stationary pose that
+    is not the minimum-energy one, on commands this root find solves.
     """
+    from scipy.optimize import root  # the only scipy import of the package
+
     n = chain.n_seg
     n_con = len(targets)
-    slacks = [chain.cable_length(np.zeros(n), top) for top, _ in targets]
+    slacks = [chain.cable_length(np.zeros(n), cable) for cable, _ in targets]
     stat_tol = 1e-9 * float(np.max(k))
 
     def kkt(z: np.ndarray, frac: float) -> np.ndarray:
         theta, lam = z[:n], z[n:]
         r = k * theta
         g = np.empty(n_con)
-        for j, ((top, target), slack) in enumerate(zip(targets, slacks)):
-            r -= lam[j] * chain.cable_length_grad(theta, top)
+        for j, ((cable, target), slack) in enumerate(zip(targets, slacks)):
+            ell, d1, _ = chain.segment_lengths(theta, cable)
+            r -= lam[j] * d1
             ramped = slack + frac * (target - slack)
-            g[j] = chain.cable_length(theta, top) - ramped
+            g[j] = float(np.sum(ell)) - ramped
         return np.concatenate([r, g])
 
     z = np.zeros(n + n_con)
@@ -393,19 +395,31 @@ def bend_from_cables(
     k = _check_stiffnesses(chain, stiffnesses)
     _check_travel(routing, cmd.delta_top, cmd.delta_bottom)
 
-    targets: list[tuple[bool, float]] = []
+    targets: list[tuple[int, float]] = []  # (cable row, length)
     if cmd.delta_top > 0:
-        targets.append((True, routing.slack_length_top - cmd.delta_top))
+        targets.append((0, routing.slack_length_top - cmd.delta_top))
     if cmd.delta_bottom > 0:
-        targets.append((False, routing.slack_length_bottom - cmd.delta_bottom))
+        targets.append((1, routing.slack_length_bottom - cmd.delta_bottom))
 
     if not targets:
         return chain.poses(np.zeros((1, chain.n_seg)))[0]
 
     feasible_min = chain.min_cable_lengths()
-    for top, target in targets:
-        _check_reachable(float(feasible_min[0 if top else 1]), target)
+    for cable, target in targets:
+        _check_reachable(float(feasible_min[cable]), target)
 
+    if len(targets) == 1:
+        (cable, target), = targets
+        try:
+            theta = _solve_one_cable(chain, k, np.array([cable]), np.array([target]))[0]
+            _check_angle_range(theta)
+        except ComputationError:
+            # with stiffnesses ~100x apart along the chain, Newton from the
+            # straight pose can cycle, or settle on a stationary pose past
+            # +-pi/2; the load-ramped root find still solves those
+            pass
+        else:
+            return chain.poses(theta[None])[0]
     theta = _solve_constrained(chain, k, targets)
     _check_angle_range(theta)
     return chain.poses(theta[None])[0]
@@ -455,7 +469,13 @@ def cable_lengths(
     theta = np.asarray(pose.segment_angles, dtype=float)
     if theta.shape != (chain.n_seg,):
         raise ValidationError(f"pose has {len(theta)} angles, graph needs {chain.n_seg}")
-    return chain.cable_length(theta, True), chain.cable_length(theta, False)
+    return chain.cable_length(theta, 0), chain.cable_length(theta, 1)
+
+
+def waveform_delta(amplitude: float, frequency: float, t: float) -> float:
+    """Top-cable shortening of the antagonistic sinusoid at time ``t``;
+    the caller checks the amplitude and frequency."""
+    return amplitude * math.sin(2.0 * math.pi * frequency * t)
 
 
 def actuation_waveform(amplitude: float, frequency: float, t: float) -> ActuationCommand:
@@ -464,5 +484,5 @@ def actuation_waveform(amplitude: float, frequency: float, t: float) -> Actuatio
         raise ValidationError("amplitude must be nonnegative")
     if frequency <= 0:
         raise ValidationError("frequency must be positive")
-    delta = amplitude * math.sin(2.0 * math.pi * frequency * t)
+    delta = waveform_delta(amplitude, frequency, t)
     return ActuationCommand(delta_top=delta, delta_bottom=-delta, timestamp=t)

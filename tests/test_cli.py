@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import tailkit
 from tailkit import explorer
 from tailkit.cli import build_parser, main
 from tailkit.export import skeleton_from_json
@@ -320,6 +326,21 @@ class TestAnalyzeCommand:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("x_end", [1.0, -1.0])  # forward and backward track
+    @pytest.mark.parametrize("mass", ["-1", "0"])
+    def test_non_positive_mass_exits_1(self, tmp_path, capsys, x_end, mass):
+        power = tmp_path / "power.csv"
+        power.write_text("t_s,voltage_v,current_a\n0.0,3.7,2.0\n1.0,3.7,2.0\n")
+        track = tmp_path / "track.csv"
+        track.write_text(f"t_s,x_m\n0.0,0.0\n1.0,{x_end}\n")
+        code = main(["analyze", "--power-log", str(power), "--track", str(track),
+                     "--mass", mass])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: mass must be positive\n"
+        assert captured.out == ""
+
+
 class TestCliBehavior:
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["skeleton", "--bogus", "x", "--out", "y.json"]) == 1
@@ -425,3 +446,46 @@ class TestCliBehavior:
         assert [r[0] for r in cached] == [0, 1, 0, 1, 0, 1, 0]
         assert build_parser.cache_info().misses == 1
         assert cached == run_all(fresh=True)
+
+
+class TestImportFootprint:
+    def test_scipy_loads_only_for_a_two_cable_bend(self, tmp_path):
+        """Every command but a bend that shortens both cables runs without
+        scipy, in a fresh interpreter."""
+        (tmp_path / "grid.json").write_text("{}")
+        (tmp_path / "power.csv").write_text("t_s,voltage_v,current_a\n0.0,3.7,2.5\n1.0,3.7,2.5\n")
+        (tmp_path / "track.csv").write_text("t_s,x_m\n0.0,0.0\n1.0,0.16\n")
+        script = textwrap.dedent(f"""
+            import contextlib, io, json, os, sys
+            import tailkit
+            from tailkit.cli import main
+
+            os.chdir({str(tmp_path)!r})
+            runs = [
+                ["fit", "--profile", {str(reference_profile_path())!r}, "--out", "fit.json"],
+                ["skeleton", "--preset", "type4", "--out", "skel.json"],
+                ["sweep", "--grid", "grid.json", "--out", "report.csv"],
+                ["swim", "--skeleton", "skel.json", "--calibrate-speed", "0.163181"],
+                ["analyze", "--power-log", "power.csv", "--track", "track.csv"],
+                ["bend", "--skeleton", "skel.json", "--delta-top", "0.006",
+                 "--delta-bottom", "-0.006", "--out", "one.json"],
+                ["bend", "--skeleton", "skel.json", "--delta-top", "0.003",
+                 "--delta-bottom", "0.001", "--out", "two.json"],
+            ]
+            codes, loaded = [], []
+            for argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(main(argv))
+                loaded.append(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+            print(json.dumps({{"codes": codes, "loaded": loaded}}))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(tailkit.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [0] * 7
+        assert result["loaded"][:6] == [[]] * 6
+        assert "scipy.optimize" in result["loaded"][6]
+        pose = json.loads((tmp_path / "two.json").read_text())
+        assert len(pose["segment_angles_rad"]) == 5

@@ -69,6 +69,8 @@ class TestNumericCsv:
             ("t_s,x_m\n1,1_0\n", "line 2: non-numeric"),
             ("t_s,x_m\n1,\u0661\n", "line 2: non-numeric"),
             ('t_s,x_m\n1,"2\n3,4\n', "line 2: unbalanced quote"),
+            ('t_s,x_m\n0,0\n1,"2\n', "line 3: unbalanced quote"),
+            ('t_s,x_m\n1,"2', "line 2: unbalanced quote"),
             ("t_s,x_m\n1,2,3\n4,5,6\n", "line 2: expected 2 fields, got 3"),
             ("t_s,x_m\r\n1,2\r\n\r\n3,x\r\n", "line 4: non-numeric"),
             pytest.param("t_s,x_m\n1," + "9" * 200_000 + "\n", "line 2: field larger than field limit",

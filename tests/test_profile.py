@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailkit.errors import ComputationError, ValidationError
@@ -13,6 +13,7 @@ from tailkit.profile import (
     PolyCurve,
     ProfileSamples,
     _lstsq_poly,
+    _natural_cubic_spline,
     eval_profile,
     excise_dorsal,
     fit_polynomial,
@@ -176,6 +177,25 @@ class TestInterpolateGap:
         dense = natural_spline_oracle(xs, ys, np.linspace(new[0][0], new[-1][0], 2001))
         eps = 1e-9
         assert all(dense.min() - eps <= y <= dense.max() + eps for _, y in new)
+
+    @given(
+        x0=st.floats(-10.0, 10.0),
+        steps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=40),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_spline_is_scipy_bit_for_bit(self, x0, steps, data):
+        # the bundled profile's fill, and so the fit output bytes, depend on it
+        from scipy.interpolate import CubicSpline
+
+        x = x0 + np.cumsum([0.0] + steps)
+        assume(np.all(np.diff(x) > 0))  # no step lost to rounding against x0
+        y = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(x),
+                                        max_size=len(x))))
+        x_eval = np.array(data.draw(st.lists(st.floats(x[0] - 1.0, x[-1] + 1.0),
+                                             min_size=1, max_size=30)) + list(x))
+        expected = CubicSpline(x, y, bc_type="natural")(x_eval)
+        assert np.array_equal(_natural_cubic_spline(x, y, x_eval), expected)
 
     def test_too_few_points_rejected(self):
         x = [0.0, 0.1, 0.9]

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,12 @@ from conftest import chain_arrays, fk_cable_length, make_symmetric_graph
 from tailkit.errors import ComputationError, ValidationError
 from tailkit.skeleton import SkeletonGraph, SkeletonSpec, generate_skeleton, six_presets
 from tailkit.tendon import (
+    CONSTRAINT_TOL_M,
     MAX_BEND_RAD,
+    TRAVEL_LIMIT_FRACTION,
     ActuationCommand,
     _Chain,
+    _solve_one_cable,
     actuation_waveform,
     bend_antagonistic,
     bend_from_cables,
@@ -261,6 +265,139 @@ class TestBatchedBend:
                 grid_min = float(np.sum(lengths.min(axis=1)))
                 assert closed <= grid_min
                 assert grid_min - closed <= 1e-9
+
+
+def fk_length_and_grad(theta, spine0, seg_vec, guide_off_y):
+    """One cable's length and its gradient in the joint angles, by forward
+    kinematics of the chain; independent of ``tendon``'s formulas.
+
+    Joint i turns guides i+1 onward about spine point i, so only the
+    cable segment from guide i to guide i+1 changes length with theta_i.
+    """
+    phi = np.cumsum(theta)
+    c, s = np.cos(phi), np.sin(phi)
+    steps = np.stack([c * seg_vec[:, 0] - s * seg_vec[:, 1],
+                      s * seg_vec[:, 0] + c * seg_vec[:, 1]], axis=1)
+    spine = spine0[0] + np.concatenate([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+    rot = np.concatenate([[0.0], phi])
+    guides = spine + guide_off_y[:, None] * np.stack([-np.sin(rot), np.cos(rot)], axis=1)
+    seg = np.diff(guides, axis=0)
+    ell = np.hypot(seg[:, 0], seg[:, 1])
+    arm = guides[1:] - spine[:-1]
+    return float(ell.sum()), (seg[:, 1] * arm[:, 0] - seg[:, 0] * arm[:, 1]) / ell
+
+
+def root_kkt_oracle(graph, top, target, k):
+    """Minimum-energy angles with one taut cable by scipy's ``root`` on the
+    KKT system, ramping the target from the slack length as the load
+    continuation of the original single-pose solver did."""
+    from scipy.optimize import root
+
+    spine0, seg_vec, off_top, off_bot = chain_arrays(graph)
+    off = off_top if top else off_bot
+    k = np.asarray(k, dtype=float)
+    n = len(k)
+    slack = fk_length_and_grad(np.zeros(n), spine0, seg_vec, off)[0]
+
+    def kkt(z, frac):
+        length, grad = fk_length_and_grad(z[:n], spine0, seg_vec, off)
+        return np.append(k * z[:n] - z[n] * grad, length - (slack + frac * (target - slack)))
+
+    z, n_steps, step = np.zeros(n + 1), 4, 0
+    while step < n_steps:
+        frac = (step + 1) / n_steps
+        sol = root(kkt, z, args=(frac,), method="hybr", tol=1e-13)
+        res = kkt(sol.x, frac)
+        if abs(res[n]) <= CONSTRAINT_TOL_M and np.abs(res[:n]).max() <= 1e-9 * k.max():
+            z, step = sol.x, step + 1
+        elif n_steps < 64:
+            n_steps, step = 2 * n_steps, 2 * step
+        else:
+            raise ComputationError("oracle: no converged pose at this target")
+    if np.any(np.abs(z[:n]) >= MAX_BEND_RAD):
+        raise ComputationError("oracle: pose outside the angle range")
+    return z[:n]
+
+
+def pose_stream_commands(spec, routing, rng, n_per_cable):
+    """Single-cable commands drawn as the benchmark's pose stream draws
+    them: a stroke up to 98 % of the motor travel, the other cable paid out
+    by at least its lever-arm share; the last per cable is the largest stroke."""
+    travel = TRAVEL_LIMIT_FRACTION * 0.98
+    slack = {"top": routing.slack_length_top, "bottom": routing.slack_length_bottom}
+    h1, h2 = spec.h1_h2
+    for taut, other in (("top", "bottom"), ("bottom", "top")):
+        lever = 1.05 * (h2 / h1 if taut == "top" else h1 / h2)
+        payout_max = travel * slack[other]
+        stroke_max = min(travel * slack[taut], payout_max / lever)
+        for j in range(n_per_cable):
+            stroke = stroke_max if j == n_per_cable - 1 else rng.uniform(0.02, 1.0) * stroke_max
+            delta = {taut: stroke, other: -rng.uniform(lever * stroke, payout_max)}
+            yield ActuationCommand(delta["top"], delta["bottom"]), taut == "top"
+
+
+def assert_matches_oracle(graph, routing, cmd, top, k):
+    """bend_from_cables and the root oracle agree: the same angles to
+    1e-7 rad with the taut cable at its length to 1e-9 m, or the same
+    exception type."""
+    target = (routing.slack_length_top - cmd.delta_top if top
+              else routing.slack_length_bottom - cmd.delta_bottom)
+    outcome = []
+    for solve in (lambda: bend_from_cables(graph, routing, cmd, k).segment_angles,
+                  lambda: root_kkt_oracle(graph, top, target, k)):
+        try:
+            outcome.append(np.asarray(solve()))
+        except (ComputationError, ValidationError) as e:
+            outcome.append(type(e))
+    got, expected = outcome
+    if isinstance(expected, type) or isinstance(got, type):
+        assert got is expected
+        return
+    assert np.abs(got - expected).max() <= 1e-7
+    spine0, seg_vec, off_top, off_bot = chain_arrays(graph)
+    length = fk_length_and_grad(got, spine0, seg_vec, off_top if top else off_bot)[0]
+    assert abs(length - target) <= 1e-9
+
+
+class TestSinglePoseOracle:
+    def test_presets_match_root_oracle(self, fitted_curves):
+        upper, lower, _ = fitted_curves
+        rng = random.Random("single-pose-oracle")
+        for spec in six_presets():
+            for n_ribs in (4, 7, 10):
+                spec_n = replace(spec, n_ribs=n_ribs)
+                graph = generate_skeleton(spec_n, upper, lower)
+                routing = route_cables(graph)
+                k = segment_stiffnesses(spec_n)
+                for cmd, top in pose_stream_commands(spec_n, routing, rng, 4):
+                    assert_matches_oracle(graph, routing, cmd, top, k)
+
+    @pytest.mark.parametrize("half_span, delta", [(0.004, 0.02), (0.01, 0.0299)])
+    def test_beyond_geometric_limit_fails_like_oracle(self, half_span, delta):
+        graph = make_symmetric_graph(half_span=half_span)
+        routing = route_cables(graph)
+        for cmd, top in ((ActuationCommand(delta, 0.0), True),
+                         (ActuationCommand(0.0, delta), False)):
+            assert_matches_oracle(graph, routing, cmd, top, UNIFORM_K)
+            with pytest.raises(ComputationError, match="geometric limit"):
+                bend_from_cables(graph, routing, cmd, UNIFORM_K)
+
+    def test_uneven_stiffness_falls_back_to_root(self, fitted_curves):
+        upper, lower, _ = fitted_curves
+        spec = SkeletonSpec(n_ribs=12, thickness_ratio=0.2)  # tail 125x stiffer
+        cases = [(generate_skeleton(spec, upper, lower), segment_stiffnesses(spec), 0.98, True),
+                 (make_symmetric_graph(half_span=0.03), [1.0, 1.0, 1e-3], 0.997, False)]
+        for graph, k, share, cycles in cases:
+            routing = route_cables(graph)
+            delta = share * TRAVEL_LIMIT_FRACTION * routing.slack_length_top
+            args = (_Chain(graph, routing), np.array(k), np.array([0]),
+                    np.array([routing.slack_length_top - delta]))
+            if cycles:  # Newton alone does not converge ...
+                with pytest.raises(ComputationError, match="did not converge"):
+                    _solve_one_cable(*args)
+            else:  # ... or settles past +-pi/2
+                assert np.abs(_solve_one_cable(*args)).max() >= MAX_BEND_RAD
+            assert_matches_oracle(graph, routing, ActuationCommand(delta, 0.0), True, k)
 
 
 class TestCableLengths:
