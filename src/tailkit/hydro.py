@@ -15,7 +15,7 @@ U = sqrt(A / (B + D)), and the drag coefficient that hits a measured
 speed follows just as directly.
 
 The kinematics come from one batched bend solve over all actuation
-phases (``tendon.bend_antagonistic``).
+phases (``tendon.bend_antagonistic``) as a (phases, stations, 2) array.
 
 This is a desk-scale surrogate, not a flow solver: absolute speeds are
 meaningful only after calibrating the drag coefficient against a
@@ -79,31 +79,40 @@ class HydroParams:
             raise ValidationError(f"bad hydro parameter document: {e}") from e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MidlineHistory:
-    """Midline snapshots over one actuation period, uniform time grid."""
+    """Midline snapshots over one actuation period, uniform time grid: float
+    arrays ``times`` (n,) and ``midlines`` (n, stations, 2); sequences are converted."""
 
-    times: tuple[float, ...]
-    midlines: tuple[tuple[tuple[float, float], ...], ...]
+    times: np.ndarray
+    midlines: np.ndarray
     period: float
 
     def __post_init__(self):
-        if len(self.times) != len(self.midlines):
+        times = np.asarray(self.times, dtype=float)
+        try:
+            midlines = np.asarray(self.midlines, dtype=float)
+        except ValueError:  # numpy refuses ragged nesting
+            raise ValidationError("all midlines must share the same stations") from None
+        if times.shape != midlines.shape[:1]:
             raise ValidationError("one midline per time sample required")
-        if len(self.times) < 2:
+        if len(times) < 2:
             raise ValidationError("history needs at least 2 samples")
-        if self.period <= 0:
-            raise ValidationError("period must be positive")
-        steps = np.diff(self.times)
+        if midlines.ndim != 3 or midlines.shape[2] != 2:
+            raise ValidationError("midline points must be (x, y) pairs")
+        if midlines.shape[1] < 2:
+            raise ValidationError("midlines need at least 2 stations")
+        if not (np.isfinite(times).all() and np.isfinite(midlines).all()):
+            raise ValidationError("times and midlines must be finite")
+        if not 0 < self.period < math.inf:
+            raise ValidationError("period must be finite and positive")
+        steps = np.diff(times)
         if np.any(steps <= 0):
             raise ValidationError("times must be strictly increasing")
         if np.ptp(steps) > 1e-9 * self.period:
             raise ValidationError("time steps must be uniform")
-        stations = {len(m) for m in self.midlines}
-        if len(stations) != 1:
-            raise ValidationError("all midlines must share the same stations")
-        if stations.pop() < 2:
-            raise ValidationError("midlines need at least 2 stations")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "midlines", midlines)
 
 
 def sample_kinematics(
@@ -124,26 +133,19 @@ def sample_kinematics(
     period = 1.0 / frequency
     times = [period * j / n_samples for j in range(n_samples)]
     deltas = [waveform_delta(amplitude, frequency, t) for t in times]
-    poses = bend_antagonistic(graph, routing, deltas, stiffnesses)
-    return MidlineHistory(
-        times=tuple(times), midlines=tuple(p.midline for p in poses), period=period
-    )
+    _, midlines = bend_antagonistic(graph, routing, deltas, stiffnesses)
+    return MidlineHistory(times=times, midlines=midlines, period=period)
 
 
 def _trailing_edge_series(history: MidlineHistory) -> tuple[np.ndarray, np.ndarray]:
     """Trailing-edge lateral velocity and midline slope per time sample."""
-    y = np.array([[p[1] for p in m] for m in history.midlines])
-    x = np.array([[p[0] for p in m] for m in history.midlines])
-    n_t = y.shape[0]
-    if n_t < 3:
+    x, y = history.midlines[..., 0], history.midlines[..., 1]
+    if len(y) < 3:
         raise ValidationError("need at least 3 time samples for finite differences")
     dt = history.times[1] - history.times[0]
     tip = y[:, -1]
-    covers_period = abs((history.times[-1] - history.times[0]) + dt - history.period) < 1e-9
-    if covers_period:
-        hdot = (np.roll(tip, -1) - np.roll(tip, 1)) / (2.0 * dt)
-    else:
-        hdot = np.gradient(tip, dt)
+    periodic = abs((history.times[-1] - history.times[0]) + dt - history.period) < 1e-9
+    hdot = (np.roll(tip, -1) - np.roll(tip, 1)) / (2.0 * dt) if periodic else np.gradient(tip, dt)
     hx = (y[:, -1] - y[:, -2]) / (x[:, -1] - x[:, -2])
     return hdot, hx
 
@@ -201,8 +203,6 @@ def steady_speed(
     n_samples: int = DEFAULT_N_SAMPLES,
 ) -> float:
     """Predicted cruise speed for one design and actuation setting, m/s."""
-    if amplitude == 0.0:
-        return 0.0
     history = sample_kinematics(graph, routing, stiffnesses, amplitude, frequency, n_samples)
     return steady_speed_from_history(history, params)
 

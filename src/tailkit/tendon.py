@@ -17,10 +17,10 @@ and the geometric shortening limit are closed-form. A pose with one
 taut cable, whether a single command (``bend_from_cables``) or a run of
 antagonistic ones solved together, as over a swimming period
 (``bend_antagonistic``), comes from a bordered Newton iteration that
-costs O(n_seg) per step. A command that shortens both cables, or a
-single-cable one on which Newton fails (stiffnesses ~100x apart), is
-solved by a general root find with load continuation; that is the only
-use of scipy, which is imported on that path alone.
+costs O(n_seg) per step; a batch stays as angle and midline arrays. A
+command that shortens both cables, or a single-cable one on which Newton
+fails (stiffnesses ~100x apart), is solved by a general root find with
+load continuation, the only use of scipy, imported on that path alone.
 """
 
 from __future__ import annotations
@@ -241,12 +241,10 @@ class _Chain:
         pts[..., 1:, 1] = sin * vx + cos * vy
         return np.cumsum(pts, axis=-2)
 
-    def poses(self, theta: np.ndarray) -> tuple[TailPose, ...]:
-        """One pose per row of ``theta`` (n_poses, n_seg)."""
-        return tuple(
-            TailPose(segment_angles=tuple(a), midline=tuple(map(tuple, m)))
-            for a, m in zip(theta.tolist(), self.midlines(theta).tolist())
-        )
+    def pose(self, theta: np.ndarray) -> TailPose:
+        """The pose of one row of joint angles ``theta`` (n_seg,)."""
+        midline = tuple(map(tuple, self.midlines(theta).tolist()))
+        return TailPose(segment_angles=tuple(theta.tolist()), midline=midline)
 
 
 def _check_stiffnesses(chain: _Chain, stiffnesses) -> np.ndarray:
@@ -402,7 +400,7 @@ def bend_from_cables(
         targets.append((1, routing.slack_length_bottom - cmd.delta_bottom))
 
     if not targets:
-        return chain.poses(np.zeros((1, chain.n_seg)))[0]
+        return chain.pose(np.zeros(chain.n_seg))
 
     feasible_min = chain.min_cable_lengths()
     for cable, target in targets:
@@ -419,10 +417,10 @@ def bend_from_cables(
             # +-pi/2; the load-ramped root find still solves those
             pass
         else:
-            return chain.poses(theta[None])[0]
+            return chain.pose(theta)
     theta = _solve_constrained(chain, k, targets)
     _check_angle_range(theta)
-    return chain.poses(theta[None])[0]
+    return chain.pose(theta)
 
 
 def bend_antagonistic(
@@ -430,13 +428,14 @@ def bend_antagonistic(
     routing: CableRouting,
     deltas: list[float] | tuple[float, ...] | np.ndarray,
     stiffnesses: list[float] | tuple[float, ...] | np.ndarray,
-) -> tuple[TailPose, ...]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Poses for many antagonistic commands at once, one per entry of ``deltas``.
 
     Entry d commands ``ActuationCommand(d, -d)``: the top cable shortens by
     d and the bottom one pays out, or the reverse when d < 0, so at most
-    one cable is taut. Each pose is the one ``bend_from_cables`` returns
-    for that command, to solver tolerance; all are solved together.
+    one cable is taut. Returns float arrays of the joint angles (n, n_seg)
+    and midlines (n, n_seg + 1, 2), all solved together; row j is the pose
+    ``bend_from_cables`` returns for command j, to solver tolerance.
     """
     chain = _Chain(graph, routing)
     k = _check_stiffnesses(chain, stiffnesses)
@@ -458,7 +457,7 @@ def bend_antagonistic(
         theta[taut] = _solve_one_cable(chain, k, cable, target)
         _check_angle_range(theta)
 
-    return chain.poses(theta)
+    return theta, chain.midlines(theta)
 
 
 def cable_lengths(

@@ -174,6 +174,17 @@ class TestSwimCommand:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--freq", "-1"], "frequency"),
+        (["--samples", "3"], "samples"),
+    ])
+    def test_zero_amplitude_still_checks_inputs(self, skel4, capsys, flags, named):
+        code = main(["swim", "--skeleton", str(skel4), "--amplitude", "0", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert named in captured.err
+        assert captured.out == ""
+
     def test_plain_swim_has_all_fields(self, skel4, capsys):
         run_ok(["swim", "--skeleton", str(skel4)])
         doc = json.loads(capsys.readouterr().out)

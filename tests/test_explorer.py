@@ -24,6 +24,7 @@ from tailkit.explorer import (
     spec_to_dict,
 )
 from tailkit.skeleton import SkeletonSpec
+from tailkit.tendon import ActuationCommand, TailPose, bend_from_cables
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +247,22 @@ class TestRecordValidation:
         spec = SkeletonSpec()
         with pytest.raises(ValidationError):
             DesignRecord(label="x", spec=spec, result=None, error=None)
+
+
+def test_kinematics_build_no_pose_objects(monkeypatch, type4_design):
+    """A design's phases stay arrays from the bend solve to the thrust
+    estimate: evaluate_design builds no TailPose, while the single-pose
+    bend_from_cables builds exactly one."""
+    built = []
+    post_init = TailPose.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TailPose, "__post_init__", counting)
+    spec, graph, routing, stiffnesses = type4_design
+    assert evaluate_design(spec, 0.008, 1.5, HydroParams(), PowerModel()).speed > 0
+    assert built == []
+    bend_from_cables(graph, routing, ActuationCommand(0.004, -0.004), stiffnesses)
+    assert len(built) == 1

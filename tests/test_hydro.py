@@ -53,7 +53,7 @@ class TestSampleKinematics:
     def test_zero_amplitude_is_static(self, type4_design):
         _, graph, routing, stiffnesses = type4_design
         history = sample_kinematics(graph, routing, stiffnesses, 0.0, FREQUENCY, 16)
-        assert len(set(history.midlines)) == 1
+        assert (history.midlines == history.midlines[0]).all()
 
     def test_time_grid_spans_one_period(self, type4_design):
         _, graph, routing, stiffnesses = type4_design
@@ -106,6 +106,25 @@ class TestHistoryValidation:
                 midlines=(((0, 0), (1, 0)), ((0, 0), (1, 0), (2, 0))),
                 period=1.0,
             )
+
+
+    @pytest.mark.parametrize("times, midlines, period, match", [
+        ((0.0, float("nan"), 0.5), (((0, 0), (1, 0)),) * 3, 1.0, "finite"),
+        ((0.0, 0.25, float("inf")), (((0, 0), (1, 0)),) * 3, 1.0, "finite"),
+        ((0.0, 0.25, 0.5), (((0, 0), (1, float("nan"))),) * 3, 1.0, "finite"),
+        ((0.0, 0.25, 0.5), (((0, 0), (float("-inf"), 0)),) * 3, 1.0, "finite"),
+        ((0.0, 0.25, 0.5), (((0, 0), (1, 0)),) * 3, float("nan"), "finite"),
+        ((0.0, 0.25, 0.5), (((0, 0, 0), (1, 0, 0)),) * 3, 1.0, r"\(x, y\) pairs"),
+        ((0.0, 0.25, 0.5), ((0, 1),) * 3, 1.0, r"\(x, y\) pairs"),
+    ], ids=["nan-time", "inf-time", "nan-y", "inf-x", "nan-period", "xyz-points", "scalar-points"])
+    def test_bad_values_rejected(self, times, midlines, period, match):
+        with pytest.raises(ValidationError, match=match):
+            MidlineHistory(times=times, midlines=midlines, period=period)
+
+    def test_nested_sequences_become_arrays(self):
+        history = static_history([0.01, -0.01], n=4, stations=3)
+        assert history.times.shape == (4,) and history.midlines.shape == (4, 3, 2)
+        assert history.midlines.dtype == np.float64
 
 
 class TestMeanThrust:
@@ -166,6 +185,15 @@ class TestSteadySpeed:
     def test_zero_amplitude_rests(self, type4_design):
         _, graph, routing, stiffnesses = type4_design
         assert steady_speed(graph, routing, stiffnesses, 0.0, FREQUENCY, HydroParams()) == 0.0
+
+    @pytest.mark.parametrize("frequency, n_samples, match", [
+        (-1.0, 64, "frequency"),
+        (FREQUENCY, 3, "16 samples"),
+    ])
+    def test_zero_amplitude_still_checks_inputs(self, type4_design, frequency, n_samples, match):
+        _, graph, routing, stiffnesses = type4_design
+        with pytest.raises(ValidationError, match=match):
+            steady_speed(graph, routing, stiffnesses, 0.0, frequency, HydroParams(), n_samples)
 
     def test_balance_residual_at_root(self, type4_history, calibrated):
         u_star = steady_speed_from_history(type4_history, calibrated)

@@ -13,6 +13,7 @@ from tailkit.tendon import (
     MAX_BEND_RAD,
     TRAVEL_LIMIT_FRACTION,
     ActuationCommand,
+    TailPose,
     _Chain,
     _solve_one_cable,
     actuation_waveform,
@@ -215,12 +216,15 @@ class TestBatchedBend:
         # one period of the default waveform, both cables taut in turn
         deltas = [actuation_waveform(0.008, 1.5, j / (64 * 1.5)).delta_top for j in range(64)]
         for graph, routing, k in preset_designs:
-            poses = bend_antagonistic(graph, routing, deltas, k)
-            assert len(poses) == len(deltas)
-            for delta, pose in zip(deltas, poses):
+            angles, midlines = bend_antagonistic(graph, routing, deltas, k)
+            assert len(angles) == len(midlines) == len(deltas)
+            for delta, theta, midline in zip(deltas, angles, midlines):
                 ref = bend_from_cables(graph, routing, ActuationCommand(delta, -delta), k)
-                gap = np.abs(np.subtract(pose.segment_angles, ref.segment_angles)).max()
+                gap = np.abs(np.subtract(theta, ref.segment_angles)).max()
                 assert gap <= 1e-7
+                # the batched midline row against the boundary pose
+                assert np.abs(midline - np.array(ref.midline)).max() <= 1e-9
+                pose = TailPose(segment_angles=tuple(theta), midline=tuple(map(tuple, midline)))
                 top, bottom = cable_lengths(graph, routing, pose)
                 if delta > 0:
                     assert abs(top - (routing.slack_length_top - delta)) <= 1e-9
@@ -229,13 +233,16 @@ class TestBatchedBend:
 
     def test_zero_deltas_are_straight(self, rig):
         graph, routing = rig
-        poses = bend_antagonistic(graph, routing, [0.0, 0.0], UNIFORM_K)
+        angles, midlines = bend_antagonistic(graph, routing, [0.0, 0.0], UNIFORM_K)
         straight = bend_from_cables(graph, routing, ActuationCommand(0.0, 0.0), UNIFORM_K)
-        assert poses == (straight, straight)
+        assert angles.shape == (2, 3) and midlines.shape == (2, 4, 2)
+        assert (angles == straight.segment_angles).all()
+        assert (midlines == straight.midline).all()
 
     def test_empty_batch(self, rig):
         graph, routing = rig
-        assert bend_antagonistic(graph, routing, [], UNIFORM_K) == ()
+        angles, midlines = bend_antagonistic(graph, routing, [], UNIFORM_K)
+        assert angles.shape == (0, 3) and midlines.shape == (0, 4, 2)
 
     def test_checks_match_single_pose(self, rig):
         graph, routing = rig
