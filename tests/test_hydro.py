@@ -107,7 +107,6 @@ class TestHistoryValidation:
                 period=1.0,
             )
 
-
     @pytest.mark.parametrize("times, midlines, period, match", [
         ((0.0, float("nan"), 0.5), (((0, 0), (1, 0)),) * 3, 1.0, "finite"),
         ((0.0, 0.25, float("inf")), (((0, 0), (1, 0)),) * 3, 1.0, "finite"),
