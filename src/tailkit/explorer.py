@@ -2,7 +2,9 @@
 
 A sweep walks the Cartesian grid of (h1:h2, thickness ratio, rib count),
 evaluates each design with the calibrated hydro surrogate and the power
-model, and collects one record per grid point. Failed points become
+model, and collects one record per grid point. Designs with the same rib
+count are evaluated in stacks that share one bend solve, and worker
+processes, if any, take whole stacks. Failed points become
 error records: they stay in reports (with the reason, in the JSON form)
 but never abort the sweep and are excluded from Pareto analysis.
 
@@ -26,7 +28,7 @@ from functools import lru_cache
 from .energetics import DERIVED_MASS_KG, PowerModel, SwimResult, predict_power
 from .errors import ValidationError, require_finite
 from .formats import dump_json, load_json
-from .hydro import HydroParams, steady_speed
+from .hydro import HydroParams, sample_kinematics_stack, steady_speed_from_history
 from .profile import (
     PolyCurve,
     excise_dorsal,
@@ -40,6 +42,18 @@ from .tendon import (
     DEFAULT_FREQUENCY_HZ,
     route_cables,
     segment_stiffnesses,
+)
+
+# Designs of one rib count are evaluated together, at most this many per
+# stacked bend solve: the time per design stops falling at 8 to 16 designs,
+# while a stack's arrays keep growing with it.
+STACK_SIZE = 16
+
+# Each grid axis with its label prefix and value format, in label order.
+_LABEL_PARTS = (
+    ("h1_h2_values", "h", lambda h1h2: f"{h1h2[0]:g}-{h1h2[1]:g}"),
+    ("thickness_ratios", "t", lambda ratio: f"{ratio:g}"),
+    ("n_ribs_values", "r", str),
 )
 
 SOURCE_SIMULATED = "simulated"
@@ -87,6 +101,16 @@ class DesignGrid:
         if not self.h1_h2_values or not self.thickness_ratios or not self.n_ribs_values:
             raise ValidationError("grid value lists must be non-empty")
         require_finite("grid actuation", *self.actuation)
+        for name, _, fmt in _LABEL_PARTS:
+            values = getattr(self, name)
+            labels = [fmt(v) for v in values]
+            for j, label in enumerate(labels):
+                i = labels.index(label)
+                if i != j:
+                    raise ValidationError(
+                        f"grid {name} {values[i]!r} and {values[j]!r} would share "
+                        f"the label {label!r}"
+                    )
 
     @property
     def size(self) -> int:
@@ -175,6 +199,30 @@ def default_curves() -> tuple[PolyCurve, PolyCurve]:
     return upper, lower
 
 
+def _evaluate_specs(
+    specs: list[SkeletonSpec],
+    amplitude: float,
+    frequency: float,
+    hydro: HydroParams,
+    power: PowerModel,
+    curves: tuple[PolyCurve, PolyCurve],
+    mass: float = DERIVED_MASS_KG,
+) -> list[SwimResult]:
+    """``evaluate_design`` of specs with one rib count, from one stacked
+    kinematics solve; raises what the first failing step raises."""
+    designs = []
+    for spec in specs:
+        graph = generate_skeleton(spec, *curves)
+        designs.append((graph, route_cables(graph), segment_stiffnesses(spec)))
+    histories = sample_kinematics_stack(designs, amplitude, frequency)
+    speeds = [steady_speed_from_history(history, hydro) for history in histories]
+    watts = predict_power(power, amplitude, frequency)
+    return [
+        SwimResult.from_power(speed=speed, power=watts, mass=mass, body_length=spec.body_length)
+        for spec, speed in zip(specs, speeds)
+    ]
+
+
 def evaluate_design(
     spec: SkeletonSpec,
     amplitude: float,
@@ -185,15 +233,9 @@ def evaluate_design(
     mass: float = DERIVED_MASS_KG,
 ) -> SwimResult:
     """Simulate one design end to end: skeleton, cables, speed, power."""
-    upper, lower = curves if curves is not None else default_curves()
-    graph = generate_skeleton(spec, upper, lower)
-    routing = route_cables(graph)
-    stiffnesses = segment_stiffnesses(spec)
-    speed = steady_speed(graph, routing, stiffnesses, amplitude, frequency, hydro)
-    watts = predict_power(power, amplitude, frequency)
-    return SwimResult.from_power(
-        speed=speed, power=watts, mass=mass, body_length=spec.body_length
-    )
+    curves = curves if curves is not None else default_curves()
+    (result,) = _evaluate_specs([spec], amplitude, frequency, hydro, power, curves, mass)
+    return result
 
 
 def _grid_points(grid: DesignGrid) -> list[tuple[str, SkeletonSpec]]:
@@ -204,7 +246,10 @@ def _grid_points(grid: DesignGrid) -> list[tuple[str, SkeletonSpec]]:
                 spec = replace(
                     grid.base_spec, n_ribs=n_ribs, h1_h2=h1h2, thickness_ratio=ratio
                 )
-                label = f"h{h1h2[0]:g}-{h1h2[1]:g}_t{ratio:g}_r{n_ribs}"
+                label = "_".join(
+                    prefix + fmt(value)
+                    for (_, prefix, fmt), value in zip(_LABEL_PARTS, (h1h2, ratio, n_ribs))
+                )
                 points.append((label, spec))
     return points
 
@@ -218,25 +263,51 @@ def _evaluate_point(args) -> DesignRecord:
         return DesignRecord(label=label, spec=spec, result=None, error=str(e))
 
 
+def _evaluate_stack(tasks: list[tuple]) -> list[DesignRecord]:
+    """``_evaluate_point`` of each task, for tasks that share a rib count and
+    their evaluation context, with one stacked kinematics solve. If any step
+    raises, every point is evaluated alone, so each error record keeps the
+    exact text ``_evaluate_point`` gives it."""
+    try:
+        results = _evaluate_specs([task[1] for task in tasks], *tasks[0][2:])
+    except Exception:
+        return [_evaluate_point(task) for task in tasks]
+    return [
+        DesignRecord(label=task[0], spec=task[1], result=result)
+        for task, result in zip(tasks, results)
+    ]
+
+
 def run_sweep(
     grid: DesignGrid,
     jobs: int = 1,
     curves: tuple[PolyCurve, PolyCurve] | None = None,
 ) -> list[DesignRecord]:
     """Evaluate every grid point; output is sorted by label, so results
-    do not depend on the evaluation schedule."""
+    do not depend on the evaluation schedule.
+
+    Points with the same rib count are evaluated in stacks of at most
+    ``STACK_SIZE`` designs, one stacked bend solve each; with ``jobs`` > 1
+    the stacks are spread over that many worker processes.
+    """
     resolved = curves if curves is not None else default_curves()
     amplitude, frequency = grid.actuation
-    tasks = [
-        (label, spec, amplitude, frequency, grid.hydro, grid.power, resolved)
-        for label, spec in _grid_points(grid)
+    by_ribs: dict[int, list[tuple]] = {}
+    for label, spec in _grid_points(grid):
+        by_ribs.setdefault(spec.n_ribs, []).append(
+            (label, spec, amplitude, frequency, grid.hydro, grid.power, resolved)
+        )
+    stacks = [
+        tasks[i:i + STACK_SIZE]
+        for tasks in by_ribs.values()
+        for i in range(0, len(tasks), STACK_SIZE)
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_evaluate_point, tasks))
+            done = list(pool.map(_evaluate_stack, stacks))
     else:
-        records = [_evaluate_point(t) for t in tasks]
-    return sorted(records, key=lambda r: r.label)
+        done = [_evaluate_stack(stack) for stack in stacks]
+    return sorted((record for stack in done for record in stack), key=lambda r: r.label)
 
 
 def non_dominated(points: list[tuple[float, float]]) -> list[bool]:

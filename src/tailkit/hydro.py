@@ -15,7 +15,9 @@ U = sqrt(A / (B + D)), and the drag coefficient that hits a measured
 speed follows just as directly.
 
 The kinematics come from one batched bend solve over all actuation
-phases (``tendon.bend_antagonistic``) as a (phases, stations, 2) array.
+phases (``tendon.bend_antagonistic``) as a (phases, stations, 2) array;
+``sample_kinematics_stack`` solves the phases of several designs with the
+same joint count in one call, as a sweep does.
 
 This is a desk-scale surrogate, not a flow solver: absolute speeds are
 meaningful only after calibrating the drag coefficient against a
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import ComputationError, ValidationError, require_finite
 from .skeleton import SkeletonGraph
-from .tendon import CableRouting, bend_antagonistic, waveform_delta
+from .tendon import CableRouting, bend_antagonistic_stack, waveform_delta
 
 DEFAULT_N_SAMPLES = 64
 MAX_SPEED_M_S = 2.0
@@ -124,6 +126,23 @@ def sample_kinematics(
     n_samples: int = DEFAULT_N_SAMPLES,
 ) -> MidlineHistory:
     """Solve the bend pose at uniform phases over one actuation period."""
+    (history,) = sample_kinematics_stack(
+        [(graph, routing, stiffnesses)], amplitude, frequency, n_samples
+    )
+    return history
+
+
+def sample_kinematics_stack(
+    designs,
+    amplitude: float,
+    frequency: float,
+    n_samples: int = DEFAULT_N_SAMPLES,
+) -> list[MidlineHistory]:
+    """``sample_kinematics`` of several (graph, routing, stiffnesses) designs
+    with the same joint count: the phase grid and its commands are built
+    once, and all poses come from one stacked bend solve
+    (``tendon.bend_antagonistic_stack``). Each history equals that of the
+    design alone."""
     if n_samples < 16:
         raise ValidationError("need at least 16 samples per period")
     if not (math.isfinite(frequency) and frequency > 0):
@@ -131,10 +150,10 @@ def sample_kinematics(
     if not (math.isfinite(amplitude) and amplitude >= 0):
         raise ValidationError("amplitude must be finite and nonnegative")
     period = 1.0 / frequency
-    times = [period * j / n_samples for j in range(n_samples)]
-    deltas = [waveform_delta(amplitude, frequency, t) for t in times]
-    _, midlines = bend_antagonistic(graph, routing, deltas, stiffnesses)
-    return MidlineHistory(times=times, midlines=midlines, period=period)
+    times = np.array([period * j / n_samples for j in range(n_samples)])
+    deltas = [waveform_delta(amplitude, frequency, t) for t in times.tolist()]
+    _, midlines = bend_antagonistic_stack(designs, deltas)
+    return [MidlineHistory(times=times, midlines=m, period=period) for m in midlines]
 
 
 def _trailing_edge_series(history: MidlineHistory) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +164,11 @@ def _trailing_edge_series(history: MidlineHistory) -> tuple[np.ndarray, np.ndarr
     dt = history.times[1] - history.times[0]
     tip = y[:, -1]
     periodic = abs((history.times[-1] - history.times[0]) + dt - history.period) < 1e-9
-    hdot = (np.roll(tip, -1) - np.roll(tip, 1)) / (2.0 * dt) if periodic else np.gradient(tip, dt)
+    if periodic:  # central differences that wrap around the period
+        wrapped = np.concatenate((tip[-1:], tip, tip[:1]))
+        hdot = (wrapped[2:] - wrapped[:-2]) / (2.0 * dt)
+    else:
+        hdot = np.gradient(tip, dt)
     hx = (y[:, -1] - y[:, -2]) / (x[:, -1] - x[:, -2])
     return hdot, hx
 

@@ -320,5 +320,10 @@ def eval_profile(curve: PolyCurve, x):
     lo, hi = curve.domain
     if np.any(arr < lo) or np.any(arr > hi):
         raise ValidationError(f"evaluation point outside the curve domain [{lo}, {hi}]")
-    val = _poly.polyval(arr, np.array(curve.coefficients))
+    # Horner's rule in the operation order of numpy's polyval, without its
+    # per-call array set-up; the result is the same bit for bit
+    coeffs = curve.coefficients
+    val = coeffs[-1] + arr * 0
+    for c in coeffs[-2::-1]:
+        val = c + val * arr
     return float(val) if np.isscalar(x) or arr.ndim == 0 else val

@@ -17,7 +17,10 @@ and the geometric shortening limit are closed-form. A pose with one
 taut cable, whether a single command (``bend_from_cables``) or a run of
 antagonistic ones solved together, as over a swimming period
 (``bend_antagonistic``), comes from a bordered Newton iteration that
-costs O(n_seg) per step; a batch stays as angle and midline arrays. A
+costs O(n_seg) per step; a batch stays as angle and midline arrays.
+Rows of that iteration never mix, so a sweep stacks the phases of
+several designs with the same joint count into one solve
+(``bend_antagonistic_stack``), each getting the bits it gets alone. A
 command that shortens both cables, or a single-cable one on which Newton
 fails (stiffnesses ~100x apart), is solved by a general root find with
 load continuation, the only use of scipy, imported on that path alone.
@@ -170,6 +173,33 @@ def stiffnesses_from_graph(graph: SkeletonGraph, k_ref: float = DEFAULT_K_REF) -
     return [k_ref * (r.thickness / t_ref) ** 3 for r in ribs[:-1]]
 
 
+def _segment_terms(
+    p: np.ndarray, q: np.ndarray, c: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment lengths l = sqrt(c - 2 * (p * cos + q * sin)) of ``theta`` and
+    their derivatives l', l'', element by element."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    pc = p * cos + q * sin
+    ell = np.sqrt(c - 2.0 * pc)
+    d1 = (p * sin - q * cos) / ell
+    return ell, d1, (pc - d1**2) / ell
+
+
+def _midlines(theta: np.ndarray, seg_vec: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """Spine points of the poses ``theta`` (..., n_seg) of a chain whose
+    straight segments are ``seg_vec`` (..., n_seg, 2) from ``origin`` (..., 2):
+    (..., n_seg + 1, 2). Leading axes broadcast, so one call serves a stack
+    of chains."""
+    phi = np.cumsum(theta, axis=-1)
+    cos, sin = np.cos(phi), np.sin(phi)
+    vx, vy = seg_vec[..., 0], seg_vec[..., 1]
+    pts = np.empty(theta.shape[:-1] + (theta.shape[-1] + 1, 2))
+    pts[..., 0, :] = origin
+    pts[..., 1:, 0] = cos * vx - sin * vy
+    pts[..., 1:, 1] = sin * vx + cos * vy
+    return np.cumsum(pts, axis=-2)
+
+
 class _Chain:
     """Straight-pose geometry of the joint chain, precomputed.
 
@@ -202,20 +232,17 @@ class _Chain:
         self.q = ax * by
         self.c = ax**2 + ay**2 + by**2
 
+    def rows(self, cable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``p``, ``q`` and ``c`` of cable row ``cable`` (0 top, 1 bottom), or
+        of an array of them, one row per entry."""
+        return self.p[cable], self.q[cable], self.c[cable]
+
     def segment_lengths(
         self, theta: np.ndarray, cable
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cable segment lengths l and their derivatives l', l'' in theta.
-
-        ``cable`` is a row index (0 top, 1 bottom), or an array of them
-        with one row of ``theta`` per entry.
-        """
-        p, q = self.p[cable], self.q[cable]
-        cos, sin = np.cos(theta), np.sin(theta)
-        pc = p * cos + q * sin
-        ell = np.sqrt(self.c[cable] - 2.0 * pc)
-        d1 = (p * sin - q * cos) / ell
-        return ell, d1, (pc - d1**2) / ell
+        """Cable segment lengths l and their derivatives l', l'' in theta;
+        ``cable`` as in ``rows``, with one row of ``theta`` per entry."""
+        return _segment_terms(*self.rows(cable), theta)
 
     def cable_length(self, theta: np.ndarray, cable: int) -> float:
         return float(np.sum(self.segment_lengths(theta, cable)[0]))
@@ -230,20 +257,9 @@ class _Chain:
         theta = np.clip(np.arctan2(self.q, self.p), -bound, bound)
         return np.sum(self.segment_lengths(theta, np.arange(2))[0], axis=1)
 
-    def midlines(self, theta: np.ndarray) -> np.ndarray:
-        """Spine points of every pose in ``theta`` (..., n_seg) -> (..., n_seg + 1, 2)."""
-        phi = np.cumsum(theta, axis=-1)
-        cos, sin = np.cos(phi), np.sin(phi)
-        vx, vy = self.seg_vec[:, 0], self.seg_vec[:, 1]
-        pts = np.empty(theta.shape[:-1] + (self.n_seg + 1, 2))
-        pts[..., 0, :] = self.spine0[0]
-        pts[..., 1:, 0] = cos * vx - sin * vy
-        pts[..., 1:, 1] = sin * vx + cos * vy
-        return np.cumsum(pts, axis=-2)
-
     def pose(self, theta: np.ndarray) -> TailPose:
         """The pose of one row of joint angles ``theta`` (n_seg,)."""
-        midline = tuple(map(tuple, self.midlines(theta).tolist()))
+        midline = tuple(map(tuple, _midlines(theta, self.seg_vec, self.spine0[0]).tolist()))
         return TailPose(segment_angles=tuple(theta.tolist()), midline=midline)
 
 
@@ -270,11 +286,15 @@ def _check_travel(routing: CableRouting, delta_top: float, delta_bottom: float) 
             )
 
 
-def _check_reachable(feasible_min: float, target: float) -> None:
-    if target < feasible_min:
+def _check_reachable(feasible_min: np.ndarray, target: np.ndarray) -> None:
+    """Refuse the first target (in row-major order) shorter than its cable's
+    geometric limit."""
+    short = target < feasible_min
+    if short.any():
+        first = np.unravel_index(np.argmax(short), short.shape)
         raise ComputationError(
             f"commanded shortening exceeds the geometric limit "
-            f"(min achievable length {feasible_min:.4g} m, target {target:.4g} m)"
+            f"(min achievable length {feasible_min[first]:.4g} m, target {target[first]:.4g} m)"
         )
 
 
@@ -348,23 +368,31 @@ def _solve_constrained(
 
 
 def _solve_one_cable(
-    chain: _Chain, k: np.ndarray, cable: np.ndarray, target: np.ndarray
+    p: np.ndarray,
+    q: np.ndarray,
+    c: np.ndarray,
+    k: np.ndarray,
+    stat_tol: np.ndarray | float,
+    target: np.ndarray,
 ) -> np.ndarray:
     """Minimum-energy angles of many poses, each with one taut cable.
 
-    Row j has cable ``cable[j]`` (0 top, 1 bottom) pulled to length
-    ``target[j]``. Newton's method on the stationarity system
-    k_i*theta_i = lambda * l_i'(theta_i) and the constraint
+    Row j pulls a cable with geometry ``p[j], q[j], c[j]`` (see ``_Chain``)
+    to length ``target[j]`` against joint stiffnesses ``k[j]``, and is
+    stationary within ``stat_tol[j]``; ``k`` and ``stat_tol`` may also be
+    one design's row and scalar. Newton's method on the stationarity
+    system k_i*theta_i = lambda * l_i'(theta_i) and the constraint
     sum_i l_i(theta_i) = target, from the straight pose: each length term
     depends on one angle, so the Jacobian is diagonal plus one bordering
     row and column, and a step costs O(n_seg) by the Schur complement of
-    the diagonal.
+    the diagonal. Rows never mix, so the rows of several designs with the
+    same joint count can share one call, each getting the bits it gets
+    alone.
     """
-    theta = np.zeros((len(target), chain.n_seg))
+    theta = np.zeros(p.shape)
     lam = np.zeros(len(target))
-    stat_tol = 1e-9 * float(np.max(k))
     for _ in range(NEWTON_MAX_ITER):
-        ell, d1, d2 = chain.segment_lengths(theta, cable)
+        ell, d1, d2 = _segment_terms(p, q, c, theta)
         r = k * theta - lam[:, None] * d1
         g = ell.sum(axis=1) - target
         active = ~((np.abs(g) <= CONSTRAINT_TOL_M) & (np.abs(r).max(axis=1) <= stat_tol))
@@ -402,14 +430,15 @@ def bend_from_cables(
     if not targets:
         return chain.pose(np.zeros(chain.n_seg))
 
-    feasible_min = chain.min_cable_lengths()
-    for cable, target in targets:
-        _check_reachable(float(feasible_min[cable]), target)
+    cables = [cable for cable, _ in targets]
+    _check_reachable(chain.min_cable_lengths()[cables], np.array([t for _, t in targets]))
 
     if len(targets) == 1:
         (cable, target), = targets
         try:
-            theta = _solve_one_cable(chain, k, np.array([cable]), np.array([target]))[0]
+            theta = _solve_one_cable(
+                *chain.rows([cable]), k, 1e-9 * float(np.max(k)), np.array([target])
+            )[0]
             _check_angle_range(theta)
         except ComputationError:
             # with stiffnesses ~100x apart along the chain, Newton from the
@@ -437,27 +466,55 @@ def bend_antagonistic(
     and midlines (n, n_seg + 1, 2), all solved together; row j is the pose
     ``bend_from_cables`` returns for command j, to solver tolerance.
     """
-    chain = _Chain(graph, routing)
-    k = _check_stiffnesses(chain, stiffnesses)
+    angles, midlines = bend_antagonistic_stack([(graph, routing, stiffnesses)], deltas)
+    return angles[0], midlines[0]
+
+
+def bend_antagonistic_stack(
+    designs, deltas: list[float] | tuple[float, ...] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``bend_antagonistic`` for several designs under the same commands.
+
+    ``designs`` holds (graph, routing, stiffnesses) triples whose chains
+    share one joint count. Every design gets the checks of the one-design
+    call, with its messages; then the taut phases of all of them go
+    through one Newton solve. Returns angles (designs, n, n_seg) and
+    midlines (designs, n, n_seg + 1, 2); entry i equals, bit for bit, what
+    ``bend_antagonistic`` returns for design i alone.
+    """
+    chains, ks, slacks = [], [], []
+    for graph, routing, stiffnesses in designs:
+        chains.append(_Chain(graph, routing))
+        ks.append(_check_stiffnesses(chains[-1], stiffnesses))
+        slacks.append((routing.slack_length_top, routing.slack_length_bottom))
+    if len({chain.n_seg for chain in chains}) != 1:
+        raise ValidationError("a stack needs one or more designs with the same joint count")
     d = np.asarray(deltas, dtype=float)
     if d.ndim != 1 or not np.all(np.isfinite(d)):
         raise ValidationError("antagonistic deltas must be a sequence of finite numbers")
     if d.size:
         worst = float(d[np.argmax(np.abs(d))])
-        _check_travel(routing, worst, -worst)
+        for _, routing, _ in designs:
+            _check_travel(routing, worst, -worst)
 
-    theta = np.zeros((d.size, chain.n_seg))
+    n_seg = chains[0].n_seg
+    theta = np.zeros((len(chains), d.size, n_seg))
     taut = d != 0.0
     if taut.any():
         cable = np.where(d[taut] > 0, 0, 1)
-        slack = np.array([routing.slack_length_top, routing.slack_length_bottom])
-        target = slack[cable] - np.abs(d[taut])
-        for feasible_min, length in zip(chain.min_cable_lengths()[cable], target):
-            _check_reachable(float(feasible_min), float(length))
-        theta[taut] = _solve_one_cable(chain, k, cable, target)
+        target = np.array(slacks)[:, cable] - np.abs(d[taut])  # (designs, taut)
+        feasible_min = np.array([chain.min_cable_lengths() for chain in chains])
+        _check_reachable(feasible_min[:, cable], target)
+        p, q, c = (np.concatenate(rows) for rows in zip(*(chain.rows(cable) for chain in chains)))
+        k = np.repeat(np.array(ks), cable.size, axis=0)
+        stat_tol = np.repeat(1e-9 * np.max(ks, axis=1), cable.size)
+        solved = _solve_one_cable(p, q, c, k, stat_tol, target.ravel())
+        theta[:, taut] = solved.reshape(len(chains), cable.size, n_seg)
         _check_angle_range(theta)
 
-    return theta, chain.midlines(theta)
+    seg_vec = np.array([chain.seg_vec for chain in chains])
+    origin = np.array([chain.spine0[0] for chain in chains])
+    return theta, _midlines(theta, seg_vec[:, None], origin[:, None])
 
 
 def cable_lengths(

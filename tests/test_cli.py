@@ -250,6 +250,16 @@ class TestSweepAndPareto:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_values_sharing_a_label_exit_1(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"h1_h2_values": [[1, 1.0000001], [1, 1.0000002]]}')
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "(1.0, 1.0000001) and (1.0, 1.0000002)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_grid_and_reference_mutually_exclusive(self, tmp_path, capsys):
         assert main(["sweep", "--reference", "--grid", "g.json",
                      "--out", str(tmp_path / "r.csv")]) == 1

@@ -1,15 +1,18 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailkit import explorer, tendon
 from tailkit.energetics import DERIVED_MASS_KG, PowerModel, SwimResult
 from tailkit.errors import ValidationError
 from tailkit.hydro import HydroParams
 from tailkit.explorer import (
     REPORT_COLUMNS,
     SOURCE_REFERENCE,
+    STACK_SIZE,
     DesignGrid,
     DesignRecord,
     emit_report,
@@ -58,7 +61,76 @@ class TestGrid:
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
+    def test_pinned_labels(self):
+        grid = DesignGrid(h1_h2_values=((1.0, 1.0), (1.0, 1.25)), thickness_ratios=(2.0, 0.125),
+                          n_ribs_values=(4, 12))
+        assert [label for label, _ in explorer._grid_points(grid)] == [
+            "h1-1_t2_r4", "h1-1_t2_r12", "h1-1_t0.125_r4", "h1-1_t0.125_r12",
+            "h1-1.25_t2_r4", "h1-1.25_t2_r12", "h1-1.25_t0.125_r4", "h1-1.25_t0.125_r12",
+        ]
+
+    @pytest.mark.parametrize("axis, values, named", [
+        ("h1_h2_values", ((1, 1.0000001), (1, 1.0000002)),
+         "(1, 1.0000001) and (1, 1.0000002) would share the label '1-1'"),
+        ("h1_h2_values", ((1.0, 2.0), (1.0, 1.0), (1.0, 2.0)),
+         "(1.0, 2.0) and (1.0, 2.0) would share the label '1-2'"),
+        ("thickness_ratios", (1.0, 2.0, 2.0000001), "2.0 and 2.0000001 would share the label '2'"),
+        ("n_ribs_values", (4, 6, 6), "6 and 6 would share the label '6'"),
+    ])
+    def test_values_that_share_a_label_rejected(self, axis, values, named):
+        # one label per row: pareto flags are assigned by label
+        with pytest.raises(ValidationError) as caught:
+            DesignGrid(**{axis: values})
+        assert str(caught.value) == f"grid {axis} {named}"
+
+
+def _mixed_tasks(grid: DesignGrid) -> list[tuple]:
+    """Every grid point of ``grid`` plus one whose head reaches past the tip,
+    as run_sweep's tasks."""
+    points = explorer._grid_points(grid)
+    label, spec = points[0]
+    points.append((label + "_head", replace(spec, head_fraction=0.99)))
+    return [(label, spec, *grid.actuation, grid.hydro, grid.power, explorer.default_curves())
+            for label, spec in points]
+
+
 class TestSweep:
+    def test_stacked_records_equal_one_at_a_time(self, monkeypatch):
+        # two rib counts; at 4 cm strokes the 12-rib, 0.2-taper design fails
+        # in the bend solve, and the added point fails before it
+        grid = DesignGrid(thickness_ratios=(0.2, 1.0), n_ribs_values=(4, 12),
+                          actuation=(0.04, 1.5))
+        tasks = _mixed_tasks(grid)
+        monkeypatch.setattr(explorer, "_grid_points", lambda g: [task[:2] for task in tasks])
+        alone = sorted((explorer._evaluate_point(task) for task in tasks),
+                       key=lambda r: r.label)
+        errors = [r.error for r in alone if r.error is not None]
+        assert len(errors) == 2
+        assert any("head region" in e for e in errors)
+        assert any("did not converge" in e for e in errors)
+        for jobs in (1, 2):
+            records = run_sweep(grid, jobs=jobs)
+            assert records == alone
+            assert emit_report(records, "json") == emit_report(alone, "json")
+
+    def test_one_bend_solve_per_stack(self, monkeypatch):
+        calls = []
+        solve = tendon._solve_one_cable
+
+        def counting(*args):
+            calls.append(len(args[-1]))
+            return solve(*args)
+
+        monkeypatch.setattr(tendon, "_solve_one_cable", counting)
+        ratios = tuple(1.0 + j / 8 for j in range(STACK_SIZE + 1))
+        grid = DesignGrid(h1_h2_values=((1.0, 2.0),), thickness_ratios=ratios,
+                          n_ribs_values=(4, 5))
+        records = run_sweep(grid)
+        assert all(r.result is not None for r in records)
+        # per rib count, one full stack and one of a single design; 63 of the
+        # 64 phases are taut
+        assert calls == [63 * STACK_SIZE, 63, 63 * STACK_SIZE, 63]
+
     def test_six_stock_combinations(self):
         grid = DesignGrid(n_ribs_values=(4,))
         records = run_sweep(grid)

@@ -14,10 +14,12 @@ from tailkit.hydro import (
     drag_force,
     mean_thrust,
     sample_kinematics,
+    sample_kinematics_stack,
     steady_speed,
     steady_speed_from_history,
 )
-from tailkit.tendon import route_cables
+from tailkit.skeleton import generate_skeleton
+from tailkit.tendon import route_cables, segment_stiffnesses
 
 AMPLITUDE = 0.008
 FREQUENCY = 1.5
@@ -71,6 +73,21 @@ class TestSampleKinematics:
         # phase pi is sample 16; lateral displacements negate
         assert np.abs(y[16] + y[0]).max() <= 1e-9
         assert np.abs(y[24] + y[8]).max() <= 1e-9
+
+    def test_stack_equals_each_design_alone(self, type4_design, fitted_curves):
+        upper, lower, _ = fitted_curves
+        spec, graph, routing, stiffnesses = type4_design
+        other = replace(spec, h1_h2=(1.0, 1.0), thickness_ratio=2.5)
+        graph2 = generate_skeleton(other, upper, lower)
+        designs = [(graph, routing, stiffnesses),
+                   (graph2, route_cables(graph2), segment_stiffnesses(other))]
+        stacked = sample_kinematics_stack(designs, AMPLITUDE, FREQUENCY, 32)
+        assert len(stacked) == 2
+        for design, history in zip(designs, stacked):
+            alone = sample_kinematics(*design, AMPLITUDE, FREQUENCY, 32)
+            assert history.period == alone.period
+            assert history.times.tobytes() == alone.times.tobytes()
+            assert history.midlines.tobytes() == alone.midlines.tobytes()
 
     def test_too_few_samples_rejected(self, type4_design):
         _, graph, routing, stiffnesses = type4_design

@@ -18,6 +18,7 @@ from tailkit.tendon import (
     _solve_one_cable,
     actuation_waveform,
     bend_antagonistic,
+    bend_antagonistic_stack,
     bend_from_cables,
     cable_lengths,
     route_cables,
@@ -256,6 +257,44 @@ class TestBatchedBend:
         with pytest.raises(ComputationError, match="geometric limit"):
             bend_antagonistic(narrow, route_cables(narrow), [0.005, -0.02], UNIFORM_K)
 
+    def test_first_short_phase_is_named(self):
+        narrow = make_symmetric_graph(half_span=0.004)  # either cable >= 0.1385 m
+        routing = route_cables(narrow)
+        for deltas, target in (([0.001, 0.012, -0.02, 0.015], "0.138"),
+                               ([0.005, -0.014, 0.02], "0.136")):
+            with pytest.raises(ComputationError) as caught:
+                bend_antagonistic(narrow, routing, deltas, UNIFORM_K)
+            assert str(caught.value) == (
+                "commanded shortening exceeds the geometric limit "
+                f"(min achievable length 0.1385 m, target {target} m)"
+            )
+
+    def test_stack_equals_each_design_alone(self, preset_designs):
+        deltas = [actuation_waveform(0.008, 1.5, j / (64 * 1.5)).delta_top for j in range(64)]
+        for n_seg in (3, 9):
+            stack = [d for d in preset_designs if len(d[2]) == n_seg]
+            angles, midlines = bend_antagonistic_stack(stack, deltas)
+            assert angles.shape == (6, 64, n_seg) and midlines.shape == (6, 64, n_seg + 1, 2)
+            for design, theta, midline in zip(stack, angles, midlines):
+                alone = bend_antagonistic(*design[:2], deltas, design[2])
+                assert theta.tobytes() == alone[0].tobytes()
+                assert midline.tobytes() == alone[1].tobytes()
+
+    def test_stack_checks_every_design(self, rig, preset_designs):
+        graph, routing = rig
+        narrow = make_symmetric_graph(half_span=0.004)
+        with pytest.raises(ValidationError, match="same joint count"):
+            bend_antagonistic_stack([(graph, routing, UNIFORM_K), preset_designs[1]], [0.001])
+        with pytest.raises(ValidationError, match="same joint count"):
+            bend_antagonistic_stack([], [0.001])
+        with pytest.raises(ValidationError, match="stiffnesses"):
+            bend_antagonistic_stack([(graph, routing, UNIFORM_K), (graph, routing, [0.05])], [0.001])
+        with pytest.raises(ComputationError, match="target 0.138 m"):
+            bend_antagonistic_stack(
+                [(graph, routing, UNIFORM_K), (narrow, route_cables(narrow), UNIFORM_K)],
+                [0.001, 0.012],
+            )
+
     def test_closed_form_min_length_is_grid_minimum(self, rig, type4_design):
         _, graph4, routing4, _ = type4_design
         bound = MAX_BEND_RAD - 1e-6
@@ -397,7 +436,7 @@ class TestSinglePoseOracle:
         for graph, k, share, cycles in cases:
             routing = route_cables(graph)
             delta = share * TRAVEL_LIMIT_FRACTION * routing.slack_length_top
-            args = (_Chain(graph, routing), np.array(k), np.array([0]),
+            args = (*_Chain(graph, routing).rows([0]), np.array(k), 1e-9 * max(k),
                     np.array([routing.slack_length_top - delta]))
             if cycles:  # Newton alone does not converge ...
                 with pytest.raises(ComputationError, match="did not converge"):
