@@ -60,7 +60,6 @@ class TestGrid:
         spec = SkeletonSpec(h1_h2=(1.0, 2.0), thickness_ratio=2.5, n_ribs=7)
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
-
     def test_pinned_labels(self):
         grid = DesignGrid(h1_h2_values=((1.0, 1.0), (1.0, 1.25)), thickness_ratios=(2.0, 0.125),
                           n_ribs_values=(4, 12))
