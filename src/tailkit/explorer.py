@@ -134,7 +134,7 @@ class DesignGrid:
         parsers = {
             "h1_h2_values": lambda v: tuple((float(a), float(b)) for a, b in v),
             "thickness_ratios": lambda v: tuple(map(float, v)),
-            "n_ribs_values": lambda v: tuple(map(int, v)),
+            "n_ribs_values": lambda v: tuple(_rib_count(n, "grid n_ribs_values") for n in v),
             "base_spec": spec_from_dict,
             "actuation": lambda v: (float(v["amplitude_m"]), float(v["frequency_hz"])),
             "hydro": HydroParams.from_dict,
@@ -163,6 +163,16 @@ class DesignRecord:
             raise ValidationError("a record carries either a result or an error reason")
 
 
+def _rib_count(value, what: str) -> int:
+    """A rib count read from JSON: 6 and 6.0 read as 6, and anything that is
+    not a whole number is refused rather than truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what}: {value!r} is not a whole number of ribs")
+    return value
+
+
 def spec_to_dict(spec: SkeletonSpec) -> dict:
     return {
         "body_length_m": spec.body_length,
@@ -181,7 +191,7 @@ def spec_from_dict(d: dict) -> SkeletonSpec:
         return SkeletonSpec(
             body_length=float(d["body_length_m"]),
             head_fraction=float(d["head_fraction"]),
-            n_ribs=int(d["n_ribs"]),
+            n_ribs=_rib_count(d["n_ribs"], "n_ribs"),
             h1_h2=(float(d["h1"]), float(d["h2"])),
             thickness_first=float(d["thickness_first_mm"]),
             thickness_ratio=float(d["thickness_ratio"]),

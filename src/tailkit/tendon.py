@@ -20,10 +20,10 @@ antagonistic ones solved together, as over a swimming period
 costs O(n_seg) per step; a batch stays as angle and midline arrays.
 Rows of that iteration never mix, so a sweep stacks the phases of
 several designs with the same joint count into one solve
-(``bend_antagonistic_stack``), each getting the bits it gets alone. A
-command that shortens both cables, or a single-cable one on which Newton
-fails (stiffnesses ~100x apart), is solved by a general root find with
-load continuation, the only use of scipy, imported on that path alone.
+(``bend_antagonistic_stack``), each getting the bits it gets alone; a row
+Newton fails on is solved again under load continuation. Only a command
+that shortens both cables needs a general root find with load
+continuation, the only use of scipy, imported on that path alone.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ TRAVEL_LIMIT_FRACTION = 0.2
 CONSTRAINT_TOL_M = 1e-9
 MAX_BEND_RAD = math.pi / 2
 NEWTON_MAX_ITER = 30
+GUIDE_MATCH_TOL_M = 1e-6
 
 
 @dataclass(frozen=True)
@@ -111,19 +112,24 @@ class ActuationCommand:
 
 
 def _guide_ids(graph: SkeletonGraph) -> tuple[list[int], list[int], list[int]]:
-    """Match rib endpoint coordinates to node ids (top, spine, bottom per rib)."""
+    """Node ids of each rib's top guide, spine point and bottom guide, ribs
+    head to tail. A rib endpoint matches the node at its exact coordinates,
+    or else the nearest node within ``GUIDE_MATCH_TOL_M``, so hand-edited
+    coordinates still match; the node's coordinates are the geometry."""
     index = {(n.x, n.y): n.id for n in graph.nodes}
-    tops, spines, bottoms = [], [], []
-    for rib in sorted(graph.ribs, key=lambda r: r.x):
-        try:
-            tops.append(index[(rib.x, rib.y_top)])
-            spines.append(index[(rib.x, rib.y_spine)])
-            bottoms.append(index[(rib.x, rib.y_bottom)])
-        except KeyError:
+    ribs = sorted(graph.ribs, key=lambda r: r.x)
+    ends = [(r.x, y) for r in ribs for y in (r.y_top, r.y_spine, r.y_bottom)]
+    ids = list(map(index.get, ends))
+    while None in ids:
+        j = ids.index(None)
+        x, y = ends[j]
+        gap, ids[j] = min(((math.hypot(nx - x, ny - y), i) for (nx, ny), i in index.items()),
+                          default=(math.inf, None))
+        if gap > GUIDE_MATCH_TOL_M:
             raise ValidationError(
-                f"rib at x={rib.x:.4f} has no matching guide/spine nodes"
-            ) from None
-    return tops, spines, bottoms
+                f"rib at x={x:.4f} has no guide/spine nodes within {GUIDE_MATCH_TOL_M:g} m"
+            )
+    return ids[0::3], ids[1::3], ids[2::3]
 
 
 def route_cables(graph: SkeletonGraph) -> CableRouting:
@@ -303,111 +309,127 @@ def _check_angle_range(theta: np.ndarray) -> None:
         raise ComputationError("bend solve left the model's angle range (+-pi/2)")
 
 
-def _solve_constrained(
-    chain: _Chain,
-    k: np.ndarray,
-    targets: list[tuple[int, float]],
-) -> np.ndarray:
-    """Minimize the spring energy subject to taut-cable length targets.
+def _continue_load(solve_at, z):
+    """Load continuation (Nocedal & Wright, *Numerical Optimization*, 11.3):
+    ``solve_at(z, frac)`` solves at load fraction ``frac`` from ``z``, or
+    raises ComputationError; fractions 1/n, 2/n, ..., 1 are solved in turn,
+    each from the last, and a failed step doubles n from 4, up to 64."""
+    n_steps, step = 4, 0
+    while step < n_steps:
+        try:
+            z, step = solve_at(z, (step + 1) / n_steps), step + 1
+        except ComputationError:
+            if n_steps == 64:
+                raise
+            n_steps, step = 2 * n_steps, 2 * step
+    return z
 
-    ``targets`` holds (cable row, length) pairs. Solves the stationarity
-    system k_i*theta_i = sum_a lambda_a * dL_a/dtheta_i together with the
-    length constraints, ramping the load from zero so the root tracker
-    stays on the energy-minimizing branch.
 
-    Commands that shorten both cables come here, and so do single-cable
-    commands that ``_solve_one_cable`` fails on. Two bordering rows in
-    that Newton iteration with the same load ramp are not enough: from
-    the straight pose it can fail, or converge to a stationary pose that
-    is not the minimum-energy one, on commands this root find solves.
+def _solve_constrained(chain: _Chain, k: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Minimum spring energy with both cables taut at lengths ``target``.
+
+    A root find on the stationarity system k_i*theta_i = sum_a lambda_a *
+    dL_a/dtheta_i and the two length constraints, under load continuation.
+    The bordered Newton step of ``_solve_one_cable`` with a second row and
+    the same continuation fails, or converges to a stationary pose that is
+    not the minimum-energy one, on many commands this root find solves.
     """
     from scipy.optimize import root  # the only scipy import of the package
 
     n = chain.n_seg
-    n_con = len(targets)
-    slacks = [chain.cable_length(np.zeros(n), cable) for cable, _ in targets]
+    slacks = [chain.cable_length(np.zeros(n), cable) for cable in (0, 1)]
     stat_tol = 1e-9 * float(np.max(k))
 
     def kkt(z: np.ndarray, frac: float) -> np.ndarray:
         theta, lam = z[:n], z[n:]
         r = k * theta
-        g = np.empty(n_con)
-        for j, ((cable, target), slack) in enumerate(zip(targets, slacks)):
+        g = np.empty(2)
+        for cable, slack in enumerate(slacks):
             ell, d1, _ = chain.segment_lengths(theta, cable)
-            r -= lam[j] * d1
-            ramped = slack + frac * (target - slack)
-            g[j] = float(np.sum(ell)) - ramped
+            r -= lam[cable] * d1
+            g[cable] = float(np.sum(ell)) - (slack + frac * (target[cable] - slack))
         return np.concatenate([r, g])
 
-    z = np.zeros(n + n_con)
-    n_steps = 4
-    step = 0
-    while step < n_steps:
-        frac = (step + 1) / n_steps
+    def solve_at(z: np.ndarray, frac: float) -> np.ndarray:
         sol = root(kkt, z, args=(frac,), method="hybr", tol=1e-13)
         # hybr can flag "no progress" after it has already converged, so
         # accept on the actual residual rather than the status flag
         res = kkt(sol.x, frac)
-        converged = (
-            np.abs(res[n:]).max() <= CONSTRAINT_TOL_M
-            and np.abs(res[:n]).max() <= stat_tol
-        )
-        if not converged:
-            if n_steps < 64:
-                n_steps *= 2
-                step *= 2
-                continue
+        if not (np.abs(res[n:]).max() <= CONSTRAINT_TOL_M and np.abs(res[:n]).max() <= stat_tol):
             raise ComputationError(
-                f"bend solve did not converge (constraint residual "
-                f"{np.abs(res[n:]).max():.2e} m)"
+                f"bend solve did not converge (constraint residual {np.abs(res[n:]).max():.2e} m)"
             )
-        z = sol.x
-        step += 1
+        return sol.x
 
-    return z[:n]
+    return _continue_load(solve_at, np.zeros(n + 2))[:n]
 
 
-def _solve_one_cable(
-    p: np.ndarray,
-    q: np.ndarray,
-    c: np.ndarray,
-    k: np.ndarray,
-    stat_tol: np.ndarray | float,
-    target: np.ndarray,
-) -> np.ndarray:
-    """Minimum-energy angles of many poses, each with one taut cable.
-
-    Row j pulls a cable with geometry ``p[j], q[j], c[j]`` (see ``_Chain``)
-    to length ``target[j]`` against joint stiffnesses ``k[j]``, and is
-    stationary within ``stat_tol[j]``; ``k`` and ``stat_tol`` may also be
-    one design's row and scalar. Newton's method on the stationarity
-    system k_i*theta_i = lambda * l_i'(theta_i) and the constraint
-    sum_i l_i(theta_i) = target, from the straight pose: each length term
-    depends on one angle, so the Jacobian is diagonal plus one bordering
-    row and column, and a step costs O(n_seg) by the Schur complement of
-    the diagonal. Rows never mix, so the rows of several designs with the
-    same joint count can share one call, each getting the bits it gets
-    alone.
-    """
-    theta = np.zeros(p.shape)
-    lam = np.zeros(len(target))
+def _newton(p, q, c, k, stat_tol, target, theta, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Up to ``NEWTON_MAX_ITER`` steps of ``_solve_one_cable``'s iteration on
+    ``theta`` and ``lam``, in place; returns the rows unconverged at the last
+    check and the constraint residuals there."""
     for _ in range(NEWTON_MAX_ITER):
         ell, d1, d2 = _segment_terms(p, q, c, theta)
         r = k * theta - lam[:, None] * d1
         g = ell.sum(axis=1) - target
         active = ~((np.abs(g) <= CONSTRAINT_TOL_M) & (np.abs(r).max(axis=1) <= stat_tol))
         if not active.any():
-            return theta
+            break
         diag = k - lam[:, None] * d2
         w = d1 / diag
         dlam = (np.sum(w * r, axis=1) - g) / np.sum(w * d1, axis=1)
         dtheta = (dlam[:, None] * d1 - r) / diag
         theta[active] += dtheta[active]
         lam[active] += dlam[active]
-    raise ComputationError(
-        f"bend solve did not converge in {NEWTON_MAX_ITER} Newton steps "
-        f"(constraint residual {np.abs(g[active]).max():.2e} m)"
-    )
+    return active, g
+
+
+def _solve_one_cable(
+    p: np.ndarray, q: np.ndarray, c: np.ndarray, k: np.ndarray, stat_tol: np.ndarray,
+    target: np.ndarray,
+) -> np.ndarray:
+    """Minimum-energy angles of many poses, each with one taut cable.
+
+    Row j pulls a cable with geometry ``p[j], q[j], c[j]`` (see ``_Chain``)
+    to length ``target[j]`` against joint stiffnesses ``k[j]``, and is
+    stationary within ``stat_tol[j]``. Newton's method on the stationarity
+    system k_i*theta_i = lambda * l_i'(theta_i) and the constraint
+    sum_i l_i(theta_i) = target, from the straight pose: each length term
+    depends on one angle, so the Jacobian is diagonal plus one bordering
+    row and column, and a step costs O(n_seg) by the Schur complement of
+    the diagonal. A row on which this cycles or settles past +-pi/2 (joint
+    stiffnesses ~100x apart) is solved again alone, its target ramped from
+    the slack length by ``_continue_load``, and must then end inside
+    +-pi/2. Rows never mix, so the rows of several designs with the same
+    joint count can share one call, each getting the bits it gets alone.
+    """
+    theta, lam = np.zeros(p.shape), np.zeros(len(target))
+    active, _ = _newton(p, q, c, k, stat_tol, target, theta, lam)
+    for j in (active | (np.abs(theta) >= MAX_BEND_RAD).any(axis=1)).nonzero()[0].tolist():
+        row = [a[j : j + 1] for a in (p, q, c, k, stat_tol)]
+        slack = np.sqrt(row[2] - 2.0 * row[0]).sum(axis=1)
+
+        def solve_at(z, frac):
+            theta_j, lam_j = z[0].copy(), z[1].copy()
+            active, g = _newton(*row, slack + frac * (target[j] - slack), theta_j, lam_j)
+            if active.any():
+                raise ComputationError(f"bend solve did not converge in {NEWTON_MAX_ITER} Newton "
+                                       f"steps (constraint residual {abs(g[0]):.2e} m)")
+            return theta_j, lam_j
+
+        theta[j] = _continue_load(solve_at, (np.zeros(row[0].shape), np.zeros(1)))[0][0]
+        _check_angle_range(theta[j])
+    return theta
+
+
+def _solve_taut(feasible_min, rows, k, k_max, target: np.ndarray) -> np.ndarray:
+    """``_solve_one_cable`` on ``rows`` (p, q, c), one pose per entry of
+    ``target``, with the checks of every single-taut solve: targets no
+    shorter than ``feasible_min``, and each row's stationarity tolerance
+    scaled by its largest stiffness ``k_max``; the poses it returns lie
+    inside the angle range."""
+    _check_reachable(feasible_min, target)
+    return _solve_one_cable(*rows, k, 1e-9 * k_max, target.ravel())
 
 
 def bend_from_cables(
@@ -421,34 +443,18 @@ def bend_from_cables(
     k = _check_stiffnesses(chain, stiffnesses)
     _check_travel(routing, cmd.delta_top, cmd.delta_bottom)
 
-    targets: list[tuple[int, float]] = []  # (cable row, length)
-    if cmd.delta_top > 0:
-        targets.append((0, routing.slack_length_top - cmd.delta_top))
-    if cmd.delta_bottom > 0:
-        targets.append((1, routing.slack_length_bottom - cmd.delta_bottom))
-
-    if not targets:
-        return chain.pose(np.zeros(chain.n_seg))
-
-    cables = [cable for cable, _ in targets]
-    _check_reachable(chain.min_cable_lengths()[cables], np.array([t for _, t in targets]))
-
-    if len(targets) == 1:
-        (cable, target), = targets
-        try:
-            theta = _solve_one_cable(
-                *chain.rows([cable]), k, 1e-9 * float(np.max(k)), np.array([target])
-            )[0]
-            _check_angle_range(theta)
-        except ComputationError:
-            # with stiffnesses ~100x apart along the chain, Newton from the
-            # straight pose can cycle, or settle on a stationary pose past
-            # +-pi/2; the load-ramped root find still solves those
-            pass
-        else:
-            return chain.pose(theta)
-    theta = _solve_constrained(chain, k, targets)
-    _check_angle_range(theta)
+    target = np.array([routing.slack_length_top - cmd.delta_top,
+                       routing.slack_length_bottom - cmd.delta_bottom])
+    taut = [cable for cable, delta in enumerate((cmd.delta_top, cmd.delta_bottom)) if delta > 0]
+    if len(taut) == 2:
+        _check_reachable(chain.min_cable_lengths(), target)
+        theta = _solve_constrained(chain, k, target)
+        _check_angle_range(theta)
+    elif taut:
+        theta = _solve_taut(chain.min_cable_lengths()[taut], chain.rows(taut), k[None],
+                            k.max(keepdims=True), target[taut])[0]
+    else:
+        theta = np.zeros(chain.n_seg)
     return chain.pose(theta)
 
 
@@ -497,20 +503,16 @@ def bend_antagonistic_stack(
         for _, routing, _ in designs:
             _check_travel(routing, worst, -worst)
 
-    n_seg = chains[0].n_seg
-    theta = np.zeros((len(chains), d.size, n_seg))
+    theta = np.zeros((len(chains), d.size, chains[0].n_seg))
     taut = d != 0.0
     if taut.any():
         cable = np.where(d[taut] > 0, 0, 1)
         target = np.array(slacks)[:, cable] - np.abs(d[taut])  # (designs, taut)
-        feasible_min = np.array([chain.min_cable_lengths() for chain in chains])
-        _check_reachable(feasible_min[:, cable], target)
-        p, q, c = (np.concatenate(rows) for rows in zip(*(chain.rows(cable) for chain in chains)))
-        k = np.repeat(np.array(ks), cable.size, axis=0)
-        stat_tol = np.repeat(1e-9 * np.max(ks, axis=1), cable.size)
-        solved = _solve_one_cable(p, q, c, k, stat_tol, target.ravel())
-        theta[:, taut] = solved.reshape(len(chains), cable.size, n_seg)
-        _check_angle_range(theta)
+        feasible_min = np.array([chain.min_cable_lengths() for chain in chains])[:, cable]
+        rows = [np.concatenate(r) for r in zip(*(chain.rows(cable) for chain in chains))]
+        k, k_max = np.repeat(ks, cable.size, axis=0), np.repeat(np.max(ks, axis=1), cable.size)
+        solved = _solve_taut(feasible_min, rows, k, k_max, target)
+        theta[:, taut] = solved.reshape(len(chains), cable.size, -1)
 
     seg_vec = np.array([chain.seg_vec for chain in chains])
     origin = np.array([chain.spine0[0] for chain in chains])

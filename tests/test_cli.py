@@ -149,6 +149,26 @@ class TestBendCommand:
         assert code == 1
         assert "travel limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shift, code", [(0.0, 0), (2e-6, 1)])
+    def test_guides_match_within_tolerance(self, skel4, tmp_path, capsys, shift, code):
+        # a rib endpoint rounded by hand still finds its node within 1e-6 m,
+        # and the pose keeps the node's coordinates
+        doc = json.loads(skel4.read_text())
+        rib = doc["ribs"][3]
+        rib["y_top"] = round(rib["y_top"], 6) + shift
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        pose, edited_pose = tmp_path / "pose.json", tmp_path / "edited_pose.json"
+        argv = ["bend", "--delta-top", "0.006", "--delta-bottom", "-0.006", "--skeleton"]
+        run_ok([*argv, str(skel4), "--out", str(pose)])
+        assert main([*argv, str(edited), "--out", str(edited_pose)]) == code
+        if code == 0:
+            assert edited_pose.read_bytes() == pose.read_bytes()
+        else:
+            err = capsys.readouterr().err
+            assert f"rib at x={rib['x']:.4f} has no guide/spine nodes within 1e-06 m" in err
+            assert not edited_pose.exists()
+
 
 class TestSwimCommand:
     def test_calibrated_speed_matches_reference(self, skel4, capsys):
@@ -192,6 +212,15 @@ class TestSwimCommand:
             "speed_mm_s", "speed_bl_s", "power_w", "mass_kg", "cot", "body_length_m",
         }
         assert doc["body_length_m"] == pytest.approx(0.3251, rel=1e-9)
+
+    def test_large_stroke_on_uneven_stiffness_solves(self, tmp_path, capsys):
+        # joint stiffnesses 125x apart: the single-taut phases need the load
+        # continuation of the Newton solve
+        skel = tmp_path / "uneven.json"
+        run_ok(["skeleton", "--h1h2", "1:1", "--thickness-ratio", "0.2", "--ribs", "12",
+                "--out", str(skel)])
+        run_ok(["swim", "--skeleton", str(skel), "--amplitude", "0.04"])
+        assert json.loads(capsys.readouterr().out)["speed_mm_s"] > 0
 
 
 class TestSweepAndPareto:
@@ -248,6 +277,17 @@ class TestSweepAndPareto:
         code = main(["sweep", "--grid", str(grid), "--out", str(out), "--jobs", "1"])
         assert code == 1
         assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fractional_rib_count_exits_1(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"n_ribs_values": [6.7], "thickness_ratios": [1], '
+                        '"h1_h2_values": [[1, 2]]}')
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "n_ribs_values: 6.7 is not a whole number" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_grid_values_sharing_a_label_exit_1(self, tmp_path, capsys):
@@ -472,7 +512,8 @@ class TestCliBehavior:
 class TestImportFootprint:
     def test_scipy_loads_only_for_a_two_cable_bend(self, tmp_path):
         """Every command but a bend that shortens both cables runs without
-        scipy, in a fresh interpreter."""
+        scipy, in a fresh interpreter; so does a single-cable bend whose
+        joint stiffnesses are 125x apart."""
         (tmp_path / "grid.json").write_text("{}")
         (tmp_path / "power.csv").write_text("t_s,voltage_v,current_a\n0.0,3.7,2.5\n1.0,3.7,2.5\n")
         (tmp_path / "track.csv").write_text("t_s,x_m\n0.0,0.0\n1.0,0.16\n")
@@ -490,6 +531,10 @@ class TestImportFootprint:
                 ["analyze", "--power-log", "power.csv", "--track", "track.csv"],
                 ["bend", "--skeleton", "skel.json", "--delta-top", "0.006",
                  "--delta-bottom", "-0.006", "--out", "one.json"],
+                ["skeleton", "--h1h2", "1:1", "--thickness-ratio", "0.2", "--ribs", "12",
+                 "--out", "uneven.json"],
+                ["bend", "--skeleton", "uneven.json", "--delta-top", "0.04",
+                 "--delta-bottom", "0", "--out", "uneven_pose.json"],
                 ["bend", "--skeleton", "skel.json", "--delta-top", "0.003",
                  "--delta-bottom", "0.001", "--out", "two.json"],
             ]
@@ -505,8 +550,8 @@ class TestImportFootprint:
                               env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
-        assert result["codes"] == [0] * 7
-        assert result["loaded"][:6] == [[]] * 6
-        assert "scipy.optimize" in result["loaded"][6]
+        assert result["codes"] == [0] * 9
+        assert result["loaded"][:8] == [[]] * 8
+        assert "scipy.optimize" in result["loaded"][8]
         pose = json.loads((tmp_path / "two.json").read_text())
         assert len(pose["segment_angles_rad"]) == 5

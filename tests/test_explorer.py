@@ -60,6 +60,24 @@ class TestGrid:
         spec = SkeletonSpec(h1_h2=(1.0, 2.0), thickness_ratio=2.5, n_ribs=7)
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
+    @pytest.mark.parametrize("value", [6.9, "6", True])
+    def test_rib_count_is_never_truncated(self, value):
+        grid = {"n_ribs_values": [4, value]}
+        with pytest.raises(ValidationError) as caught:
+            DesignGrid.from_dict(grid)
+        assert str(caught.value) == (
+            f"grid n_ribs_values: {value!r} is not a whole number of ribs")
+        spec = {**spec_to_dict(SkeletonSpec()), "n_ribs": value}
+        with pytest.raises(ValidationError, match=f"n_ribs: {value!r} is not a whole number"):
+            spec_from_dict(spec)
+        with pytest.raises(ValidationError, match=f"n_ribs: {value!r} is not a whole number"):
+            DesignGrid.from_dict({"base_spec": spec})
+
+    def test_integral_float_rib_count_accepted(self):
+        assert DesignGrid.from_dict({"n_ribs_values": [4, 6.0]}).n_ribs_values == (4, 6)
+        spec = {**spec_to_dict(SkeletonSpec()), "n_ribs": 7.0}
+        assert spec_from_dict(spec) == SkeletonSpec(n_ribs=7)
+
     def test_pinned_labels(self):
         grid = DesignGrid(h1_h2_values=((1.0, 1.0), (1.0, 1.25)), thickness_ratios=(2.0, 0.125),
                           n_ribs_values=(4, 12))
@@ -95,18 +113,19 @@ def _mixed_tasks(grid: DesignGrid) -> list[tuple]:
 
 class TestSweep:
     def test_stacked_records_equal_one_at_a_time(self, monkeypatch):
-        # two rib counts; at 4 cm strokes the 12-rib, 0.2-taper design fails
-        # in the bend solve, and the added point fails before it
-        grid = DesignGrid(thickness_ratios=(0.2, 1.0), n_ribs_values=(4, 12),
-                          actuation=(0.04, 1.5))
+        # two rib counts; at 3 cm strokes on h1:h2 = 1:8 both 4-rib designs
+        # fail in the bend solve, and the added point fails before it
+        grid = DesignGrid(h1_h2_values=((1.0, 8.0),), thickness_ratios=(0.2, 1.0),
+                          n_ribs_values=(4, 12), actuation=(0.03, 1.5))
         tasks = _mixed_tasks(grid)
         monkeypatch.setattr(explorer, "_grid_points", lambda g: [task[:2] for task in tasks])
         alone = sorted((explorer._evaluate_point(task) for task in tasks),
                        key=lambda r: r.label)
-        errors = [r.error for r in alone if r.error is not None]
-        assert len(errors) == 2
-        assert any("head region" in e for e in errors)
-        assert any("did not converge" in e for e in errors)
+        errors = {r.label: r.error for r in alone if r.error is not None}
+        assert sorted(errors) == ["h1-8_t0.2_r4", "h1-8_t0.2_r4_head", "h1-8_t1_r4"]
+        assert "head region" in errors["h1-8_t0.2_r4_head"]
+        assert "geometric limit" in errors["h1-8_t0.2_r4"]
+        assert "geometric limit" in errors["h1-8_t1_r4"]
         for jobs in (1, 2):
             records = run_sweep(grid, jobs=jobs)
             assert records == alone

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import chain_arrays, fk_cable_length, make_symmetric_graph
+from tailkit import tendon
 from tailkit.errors import ComputationError, ValidationError
 from tailkit.skeleton import SkeletonGraph, SkeletonSpec, generate_skeleton, six_presets
 from tailkit.tendon import (
@@ -428,22 +429,54 @@ class TestSinglePoseOracle:
             with pytest.raises(ComputationError, match="geometric limit"):
                 bend_from_cables(graph, routing, cmd, UNIFORM_K)
 
-    def test_uneven_stiffness_falls_back_to_root(self, fitted_curves):
+    def test_uneven_stiffness_solves_by_continuation(self, fitted_curves, monkeypatch):
+        # from the straight pose, Newton cycles on the first case and settles
+        # past +-pi/2 on the second; the load continuation on the same
+        # Newton step solves both
+        ramps = []
+        continue_load = tendon._continue_load
+
+        def counting(*args):
+            ramps.append(args)
+            return continue_load(*args)
+
+        monkeypatch.setattr(tendon, "_continue_load", counting)
         upper, lower, _ = fitted_curves
         spec = SkeletonSpec(n_ribs=12, thickness_ratio=0.2)  # tail 125x stiffer
-        cases = [(generate_skeleton(spec, upper, lower), segment_stiffnesses(spec), 0.98, True),
-                 (make_symmetric_graph(half_span=0.03), [1.0, 1.0, 1e-3], 0.997, False)]
-        for graph, k, share, cycles in cases:
+        cases = [(generate_skeleton(spec, upper, lower), segment_stiffnesses(spec), 0.98),
+                 (make_symmetric_graph(half_span=0.03), [1.0, 1.0, 1e-3], 0.997)]
+        for graph, k, share in cases:
             routing = route_cables(graph)
             delta = share * TRAVEL_LIMIT_FRACTION * routing.slack_length_top
-            args = (*_Chain(graph, routing).rows([0]), np.array(k), 1e-9 * max(k),
-                    np.array([routing.slack_length_top - delta]))
-            if cycles:  # Newton alone does not converge ...
-                with pytest.raises(ComputationError, match="did not converge"):
-                    _solve_one_cable(*args)
-            else:  # ... or settles past +-pi/2
-                assert np.abs(_solve_one_cable(*args)).max() >= MAX_BEND_RAD
+            target = routing.slack_length_top - delta
+            theta = _solve_one_cable(*_Chain(graph, routing).rows([0]), np.array([k]),
+                                     np.array([1e-9 * max(k)]), np.array([target]))[0]
+            assert np.abs(theta).max() < MAX_BEND_RAD
+            assert np.abs(theta - root_kkt_oracle(graph, True, target, k)).max() <= 1e-7
+            spine0, seg_vec, off_top, _ = chain_arrays(graph)
+            assert abs(fk_length_and_grad(theta, spine0, seg_vec, off_top)[0] - target) <= 1e-9
             assert_matches_oracle(graph, routing, ActuationCommand(delta, 0.0), True, k)
+        assert len(ramps) == 2 * len(cases)  # _solve_one_cable, then bend_from_cables
+
+    def test_antagonistic_stroke_on_uneven_design_matches_single_poses(self, fitted_curves):
+        # at a 4 cm stroke some phases of the 0.2-taper design need the
+        # continuation; each row keeps its own schedule, in a batch or a stack
+        upper, lower, _ = fitted_curves
+        designs = []
+        for spec in (SkeletonSpec(n_ribs=12, thickness_ratio=0.2),
+                     SkeletonSpec(n_ribs=12, h1_h2=(1.0, 8.0), thickness_ratio=0.2),
+                     SkeletonSpec(n_ribs=12)):
+            graph = generate_skeleton(spec, upper, lower)
+            designs.append((graph, route_cables(graph), segment_stiffnesses(spec)))
+        deltas = [actuation_waveform(0.04, 1.5, j / (64 * 1.5)).delta_top for j in range(64)]
+        stacked, _ = bend_antagonistic_stack(designs, deltas)
+        graph, routing, k = designs[0]
+        angles, _ = bend_antagonistic(graph, routing, deltas, k)
+        for delta, theta in zip(deltas, angles):
+            pose = bend_from_cables(graph, routing, ActuationCommand(delta, -delta), k)
+            assert theta.tobytes() == np.array(pose.segment_angles).tobytes()
+        for (graph, routing, k), theta in zip(designs, stacked):
+            assert theta.tobytes() == bend_antagonistic(graph, routing, deltas, k)[0].tobytes()
 
 
 class TestCableLengths:
