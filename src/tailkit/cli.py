@@ -22,8 +22,9 @@ from . import energetics, explorer, hydro, skeleton, tendon
 from .energetics import PowerModel, SwimResult
 from .errors import ComputationError, ValidationError, require_finite
 from .export import skeleton_from_json, skeleton_to_json, skeleton_to_svg
-from .formats import dump_json, load_json
+from .formats import Fields, dump_json, load_json
 from .profile import (
+    CURVE_FIELDS,
     DEFAULT_DEGREE,
     DORSAL_EXCISE_HI,
     DORSAL_EXCISE_LO,
@@ -99,14 +100,15 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+# The curves of a fit document; `tailkit fit` adds its "report".
+_CURVES = Fields(lambda upper, lower: (upper, lower), ("upper", "upper", CURVE_FIELDS),
+                 ("lower", "lower", CURVE_FIELDS))
+
+
 def _load_curves(path: str | None) -> tuple[PolyCurve, PolyCurve]:
     if path is None:
         return explorer.default_curves()
-    doc = _load_json(path, "curves file")
-    try:
-        return PolyCurve.from_dict(doc["upper"]), PolyCurve.from_dict(doc["lower"])
-    except (KeyError, TypeError):
-        raise ValidationError("curves file needs an upper and a lower curve") from None
+    return _CURVES(_load_json(path, "curves file"), "curves file: $")
 
 
 def _load_json(path: str, what: str):
@@ -147,8 +149,7 @@ def _cmd_fit(args) -> int:
     samples = interpolate_gap(samples, fill or 0)
     upper, lower, report = fit_polynomial(samples, degree)
     doc = {
-        "upper": upper.to_dict(),
-        "lower": lower.to_dict(),
+        **_CURVES.write((upper, lower)),
         "report": {
             "mse_upper_m2": report.mse_upper,
             "mse_lower_m2": report.mse_lower,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, require_finite
-from .formats import read_numeric_csv
+from .formats import Fields, number, read_numeric_csv
 
 # Measured electrical operating points of the physical robot.
 P_IDLE_W = 0.48
@@ -58,24 +58,16 @@ class PowerModel:
             raise ValidationError("amplitude_ref must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "p_idle_w": self.p_idle,
-            "p_actuation_full_w": self.p_actuation_full,
-            "amplitude_ref_m": self.amplitude_ref,
-            "exponent": self.exponent,
-        }
+        return POWER_FIELDS.write(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PowerModel":
-        try:
-            return cls(
-                p_idle=float(d["p_idle_w"]),
-                p_actuation_full=float(d["p_actuation_full_w"]),
-                amplitude_ref=float(d["amplitude_ref_m"]),
-                exponent=float(d["exponent"]),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"bad power model document: {e}") from e
+    def from_dict(cls, d) -> "PowerModel":
+        return POWER_FIELDS(d, "power model JSON: $")
+
+
+POWER_FIELDS = Fields(
+    PowerModel, ("p_idle", "p_idle_w", number), ("p_actuation_full", "p_actuation_full_w", number),
+    ("amplitude_ref", "amplitude_ref_m", number), ("exponent", "exponent", number))
 
 
 @dataclass(frozen=True)

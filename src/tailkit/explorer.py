@@ -25,10 +25,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .energetics import DERIVED_MASS_KG, PowerModel, SwimResult, predict_power
-from .errors import ValidationError, require_finite
-from .formats import dump_json, load_json
-from .hydro import HydroParams, sample_kinematics_stack, steady_speed_from_history
+from .energetics import DERIVED_MASS_KG, POWER_FIELDS, PowerModel, SwimResult, predict_power
+from .errors import ValidationError
+from .formats import Array, Fields, dump_json, load_json, nullable, number, string, whole
+from .hydro import HYDRO_FIELDS, HydroParams, sample_kinematics_stack, steady_speed_from_history
 from .profile import (
     PolyCurve,
     excise_dorsal,
@@ -40,6 +40,7 @@ from .skeleton import SkeletonSpec, generate_skeleton, six_presets
 from .tendon import (
     DEFAULT_AMPLITUDE_M,
     DEFAULT_FREQUENCY_HZ,
+    check_actuation,
     route_cables,
     segment_stiffnesses,
 )
@@ -100,7 +101,7 @@ class DesignGrid:
     def __post_init__(self):
         if not self.h1_h2_values or not self.thickness_ratios or not self.n_ribs_values:
             raise ValidationError("grid value lists must be non-empty")
-        require_finite("grid actuation", *self.actuation)
+        check_actuation(*self.actuation)
         for name, _, fmt in _LABEL_PARTS:
             values = getattr(self, name)
             labels = [fmt(v) for v in values]
@@ -117,35 +118,11 @@ class DesignGrid:
         return len(self.h1_h2_values) * len(self.thickness_ratios) * len(self.n_ribs_values)
 
     def to_dict(self) -> dict:
-        return {
-            "h1_h2_values": [list(v) for v in self.h1_h2_values],
-            "thickness_ratios": list(self.thickness_ratios),
-            "n_ribs_values": list(self.n_ribs_values),
-            "base_spec": spec_to_dict(self.base_spec),
-            "actuation": {"amplitude_m": self.actuation[0], "frequency_hz": self.actuation[1]},
-            "hydro": self.hydro.to_dict(),
-            "power": self.power.to_dict(),
-        }
+        return _GRID_FIELDS.write(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DesignGrid":
-        if not isinstance(d, dict):
-            raise ValidationError("grid document: top level must be an object")
-        parsers = {
-            "h1_h2_values": lambda v: tuple((float(a), float(b)) for a, b in v),
-            "thickness_ratios": lambda v: tuple(map(float, v)),
-            "n_ribs_values": lambda v: tuple(_rib_count(n, "grid n_ribs_values") for n in v),
-            "base_spec": spec_from_dict,
-            "actuation": lambda v: (float(v["amplitude_m"]), float(v["frequency_hz"])),
-            "hydro": HydroParams.from_dict,
-            "power": PowerModel.from_dict,
-        }
-        try:
-            return cls(**{key: parse(d[key]) for key, parse in parsers.items() if key in d})
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"bad grid document: {e}") from e
+    def from_dict(cls, d) -> "DesignGrid":
+        return _GRID_FIELDS(d, "grid JSON: $")
 
 
 @dataclass(frozen=True)
@@ -163,42 +140,27 @@ class DesignRecord:
             raise ValidationError("a record carries either a result or an error reason")
 
 
-def _rib_count(value, what: str) -> int:
-    """A rib count read from JSON: 6 and 6.0 read as 6, and anything that is
-    not a whole number is refused rather than truncated."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what}: {value!r} is not a whole number of ribs")
-    return value
+_SPEC_FIELDS = Fields(
+    lambda h1, h2, **rest: SkeletonSpec(h1_h2=(h1, h2), **rest),
+    ("body_length", "body_length_m", number), ("head_fraction", "head_fraction", number),
+    ("n_ribs", "n_ribs", whole), ("h1", "h1", number), ("h2", "h2", number),
+    ("thickness_first", "thickness_first_mm", number),
+    ("thickness_ratio", "thickness_ratio", number), ("spine_shape", "spine_shape", string))
+_GRID_FIELDS = Fields(
+    DesignGrid, ("h1_h2_values", "h1_h2_values", Array(Array(number, 2))),
+    ("thickness_ratios", "thickness_ratios", Array(number)),
+    ("n_ribs_values", "n_ribs_values", Array(whole)), ("base_spec", "base_spec", _SPEC_FIELDS),
+    ("actuation", "actuation", Fields(check_actuation, ("amplitude", "amplitude_m", number),
+                                      ("frequency", "frequency_hz", number))),
+    ("hydro", "hydro", HYDRO_FIELDS), ("power", "power", POWER_FIELDS), defaults=True)
 
 
 def spec_to_dict(spec: SkeletonSpec) -> dict:
-    return {
-        "body_length_m": spec.body_length,
-        "head_fraction": spec.head_fraction,
-        "n_ribs": spec.n_ribs,
-        "h1": spec.h1_h2[0],
-        "h2": spec.h1_h2[1],
-        "thickness_first_mm": spec.thickness_first,
-        "thickness_ratio": spec.thickness_ratio,
-        "spine_shape": spec.spine_shape,
-    }
+    return _SPEC_FIELDS.write(spec)
 
 
-def spec_from_dict(d: dict) -> SkeletonSpec:
-    try:
-        return SkeletonSpec(
-            body_length=float(d["body_length_m"]),
-            head_fraction=float(d["head_fraction"]),
-            n_ribs=_rib_count(d["n_ribs"], "n_ribs"),
-            h1_h2=(float(d["h1"]), float(d["h2"])),
-            thickness_first=float(d["thickness_first_mm"]),
-            thickness_ratio=float(d["thickness_ratio"]),
-            spine_shape=str(d["spine_shape"]),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"bad skeleton spec document: {e}") from e
+def spec_from_dict(d) -> SkeletonSpec:
+    return _SPEC_FIELDS(d, "skeleton spec JSON: $")
 
 
 @lru_cache(maxsize=1)
@@ -387,8 +349,8 @@ def _record_row(record: DesignRecord, pareto: bool) -> dict:
     metrics = record.result.to_dict() if record.result is not None else {}
     return {
         "label": record.label,
-        "h1": spec.h1_h2[0],
-        "h2": spec.h1_h2[1],
+        "h1": spec.h1,
+        "h2": spec.h2,
         "thickness_ratio": spec.thickness_ratio,
         "n_ribs": spec.n_ribs,
         "pareto": pareto,
@@ -469,29 +431,25 @@ def pareto_report_csv(text: str) -> str:
     return _report_csv({**scored[i], "pareto": "true"} for i in _front_order(points))
 
 
+def _record(label, source, error, spec, **metrics) -> DesignRecord:
+    result = None
+    if error is None:
+        if None in metrics.values():
+            raise ValidationError("a record without an error needs every metric")
+        result = SwimResult(body_length=spec.body_length, **metrics)
+    return DesignRecord(label=label, spec=spec, result=result, source=source, error=error)
+
+
+# The report JSON keys that hold a record, in file order; the rest repeat
+# the spec or the metrics in the report CSV's units.
+_RECORD_FIELDS = Fields(
+    _record, ("label", "label", string), ("source", "source", string),
+    ("speed_bl", "speed_bl_s", nullable(number)), ("power", "power_w", nullable(number)),
+    ("mass", "mass_kg", nullable(number)), ("cot", "cot", nullable(number)),
+    ("speed", "speed_m_s", nullable(number)), ("error", "error", nullable(string)),
+    ("spec", "spec", _SPEC_FIELDS))
+
+
 def parse_report_json(text: str) -> list[DesignRecord]:
     """Inverse of emit_report(..., 'json')."""
-    payload = load_json(text, "report JSON")
-    if not isinstance(payload, list):
-        raise ValidationError("report JSON must be an array of records")
-    records = []
-    try:
-        for row in payload:
-            spec = spec_from_dict(row["spec"])
-            result = None
-            if row.get("error") is None:
-                result = SwimResult(
-                    speed=row["speed_m_s"],
-                    speed_bl=row["speed_bl_s"],
-                    power=row["power_w"],
-                    mass=row["mass_kg"],
-                    cot=row["cot"],
-                    body_length=spec.body_length,
-                )
-            records.append(DesignRecord(
-                label=row["label"], spec=spec, result=result,
-                source=row["source"], error=row.get("error"),
-            ))
-    except (KeyError, TypeError) as e:
-        raise ValidationError(f"bad report record: {e}") from e
-    return records
+    return list(Array(_RECORD_FIELDS)(load_json(text, "report JSON"), "report JSON: $"))

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .formats import dump_json, load_json
+from .formats import Array, Fields, dump_json, integer, load_json, number
 from .skeleton import Node, Rib, SkeletonGraph
 
 STRING_STROKE_MM = 0.3
@@ -101,91 +101,21 @@ def skeleton_to_svg(graph: SkeletonGraph) -> SvgDocument:
     return SvgDocument(width_mm=width, height_mm=height, elements=tuple(elements))
 
 
-# Rib attribute and skeleton JSON key, in the key order of the file.
-_RIB_KEYS = (("x", "x"), ("y_top", "y_top"), ("y_bottom", "y_bottom"), ("y_spine", "y_spine"),
-             ("thickness", "thickness_mm"))
+_NODE = Fields(Node, ("id", "id", integer), ("x", "x", number), ("y", "y", number))
+_RIB = Fields(Rib, ("x", "x", number), ("y_top", "y_top", number),
+              ("y_bottom", "y_bottom", number), ("y_spine", "y_spine", number),
+              ("thickness", "thickness_mm", number))
+_EDGES = Array(Array(integer, 2))
+_SKELETON = Fields(SkeletonGraph, ("nodes", "nodes", Array(_NODE)), ("bars", "bars", _EDGES),
+                   ("strings", "strings", _EDGES), ("ribs", "ribs", Array(_RIB)),
+                   ("head_boundary_x", "head_boundary_x", number))
 
 
 def skeleton_to_json(graph: SkeletonGraph) -> str:
     """Serialize a skeleton graph to its interchange JSON."""
-    doc = {
-        "nodes": [{"id": n.id, "x": n.x, "y": n.y} for n in graph.nodes],
-        "bars": [list(b) for b in graph.bars],
-        "strings": [list(s) for s in graph.strings],
-        "ribs": [{key: getattr(r, attr) for attr, key in _RIB_KEYS} for r in graph.ribs],
-        "head_boundary_x": graph.head_boundary_x,
-    }
-    return dump_json(doc)
-
-
-def _field(obj: dict, key: str, path: str, kind):
-    """``obj[key]`` of the object at ``path``, checked by ``kind(value, its path)``."""
-    if key not in obj:
-        raise ValidationError(f"skeleton JSON: missing {path}.{key}")
-    return kind(obj[key], f"{path}.{key}")
-
-
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"skeleton JSON: {path} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"skeleton JSON: {path} must be an integer, got {value!r}")
-    return value
-
-
-def _array(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"skeleton JSON: {path} must be an array")
-    return value
-
-
-def _objects(doc: dict, key: str) -> list[tuple[dict, str]]:
-    """The objects of the array ``$.key``, each with its path."""
-    items = []
-    for i, item in enumerate(_field(doc, key, "$", _array)):
-        path = f"$.{key}[{i}]"
-        if not isinstance(item, dict):
-            raise ValidationError(f"skeleton JSON: {path} must be an object")
-        items.append((item, path))
-    return items
-
-
-def _edge_list(value, path: str) -> tuple[tuple[int, int], ...]:
-    edges = []
-    for i, pair in enumerate(_array(value, path)):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValidationError(f"skeleton JSON: {path}[{i}] must be a [a, b] pair")
-        edges.append((_integer(pair[0], f"{path}[{i}][0]"), _integer(pair[1], f"{path}[{i}][1]")))
-    return tuple(edges)
+    return dump_json(_SKELETON.write(graph))
 
 
 def skeleton_from_json(text: str) -> SkeletonGraph:
     """Parse the interchange JSON back into a validated skeleton graph."""
-    doc = load_json(text, "skeleton JSON")
-    if not isinstance(doc, dict):
-        raise ValidationError("skeleton JSON: top level must be an object")
-    nodes = tuple(
-        Node(
-            id=_field(n, "id", path, _integer),
-            x=_field(n, "x", path, _number),
-            y=_field(n, "y", path, _number),
-        )
-        for n, path in _objects(doc, "nodes")
-    )
-    bars = _field(doc, "bars", "$", _edge_list)
-    strings = _field(doc, "strings", "$", _edge_list)
-    ribs = tuple(
-        Rib(**{attr: _field(r, key, path, _number) for attr, key in _RIB_KEYS})
-        for r, path in _objects(doc, "ribs")
-    )
-    return SkeletonGraph(
-        nodes=nodes,
-        bars=bars,
-        strings=strings,
-        ribs=ribs,
-        head_boundary_x=_field(doc, "head_boundary_x", "$", _number),
-    )
+    return _SKELETON(load_json(text, "skeleton JSON"), "skeleton JSON: $")

@@ -6,6 +6,12 @@ strict both ways: writers refuse NaN and infinities, readers refuse the
 NaN/Infinity tokens and numbers that overflow a double, so every
 document is standard JSON (RFC 8259). The report CSV has named, typed
 columns and belongs to ``explorer``.
+
+Each kind of JSON object declares its keys once, as a ``Fields`` table
+that both writes and reads it. The readers check JSON types: a number
+is a JSON number (not a string or a boolean), an integer is a JSON
+integer, and a refusal names the document and the JSON path, e.g.
+``grid JSON: $.thickness_ratios[0] must be a number, got '2'``.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -121,3 +128,99 @@ def load_json(text: str, what: str):
         return json.loads(text, parse_constant=_FLOAT, parse_float=_FLOAT, parse_int=_INT)
     except ValueError as e:
         raise ValidationError(f"{what} is not valid JSON: {e}") from None
+
+
+# A reader takes a parsed JSON value and ``where``, the document's name and
+# the value's JSON path ("grid JSON: $.hydro"), and returns it as Python.
+
+
+def _refuse(where: str, must: str, value):
+    raise ValidationError(f"{where} must be {must}, got {reprlib.repr(value)}")
+
+
+def _scalar(must: str, types, convert):
+    def read(value, where: str):
+        if isinstance(value, bool) or not isinstance(value, types):
+            _refuse(where, must, value)
+        return convert(value)
+
+    return read
+
+
+number = _scalar("a number", (int, float), float)
+integer = _scalar("an integer", int, int)
+string = _scalar("a string", str, str)
+
+
+def whole(value, where: str) -> int:
+    """A count: 6 and 6.0 read as 6, and 6.7 is refused rather than truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        _refuse(where, "a whole number", value)
+    return value
+
+
+def nullable(read):
+    """``read``, except that null reads as None."""
+    return lambda value, where: None if value is None else read(value, where)
+
+
+def _write(read, value):
+    return read.write(value) if hasattr(read, "write") else value
+
+
+class Array:
+    """A JSON array read into a tuple by ``item``; with ``length``, it must
+    have exactly that many entries."""
+
+    def __init__(self, item, length: int | None = None):
+        self.item, self.length = item, length
+
+    def write(self, values) -> list:
+        return [_write(self.item, v) for v in values]
+
+    def __call__(self, value, where: str) -> tuple:
+        if not isinstance(value, list):
+            _refuse(where, "an array", value)
+        if self.length is not None and len(value) != self.length:
+            _refuse(where, f"an array of {self.length} entries", value)
+        # a list, not a generator: tuple()'s resizes would fill CPython's tuple free lists
+        return tuple([self.item(v, f"{where}[{i}]") for i, v in enumerate(value)])
+
+
+class Fields:
+    """A JSON object's keys as (attribute, key, reader) triples in file
+    order, declared once for both directions. ``write`` gives the object of
+    an instance (of a tuple: its values in table order); calling the Fields
+    reads one into ``build(**attributes)``, whose refusals get the object's
+    path. Every key is required, unless ``defaults``: then missing keys keep
+    ``build``'s defaults and unknown keys are refused, so that a misspelt key
+    cannot silently fall back to its default.
+    """
+
+    def __init__(self, build, *table, defaults: bool = False):
+        self.build, self.table, self.defaults = build, table, defaults
+        self.keys = [key for _, key, _ in table]
+
+    def write(self, obj) -> dict:
+        values = obj if isinstance(obj, tuple) else [getattr(obj, a) for a, _, _ in self.table]
+        return {key: _write(read, v) for (_, key, read), v in zip(self.table, values)}
+
+    def __call__(self, value, where: str):
+        if not isinstance(value, dict):
+            _refuse(where, "an object", value)
+        unknown = [key for key in value if key not in self.keys] if self.defaults else []
+        if unknown:
+            raise ValidationError(f"{where}.{unknown[0]} is not a known key; the keys are "
+                                  + ", ".join(self.keys))
+        fields = {}
+        for attr, key, read in self.table:
+            if key in value:
+                fields[attr] = read(value[key], f"{where}.{key}")
+            elif not self.defaults:
+                raise ValidationError(f"{where}.{key} is missing")
+        try:
+            return self.build(**fields)
+        except ValidationError as e:
+            raise ValidationError(f"{where}: {e}") from None

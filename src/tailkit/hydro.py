@@ -32,8 +32,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ComputationError, ValidationError, require_finite
+from .formats import Fields, number
 from .skeleton import SkeletonGraph
-from .tendon import CableRouting, bend_antagonistic_stack, waveform_delta
+from .tendon import CableRouting, bend_antagonistic_stack, check_actuation, waveform_delta
 
 DEFAULT_N_SAMPLES = 64
 MAX_SPEED_M_S = 2.0
@@ -59,26 +60,17 @@ class HydroParams:
                 raise ValidationError(f"{name} must be strictly positive")
 
     def to_dict(self) -> dict:
-        return {
-            "rho_kg_m3": self.rho,
-            "drag_coeff": self.drag_coeff,
-            "frontal_area_m2": self.frontal_area,
-            "added_mass_coeff": self.added_mass_coeff,
-            "tip_span_m": self.tip_span,
-        }
+        return HYDRO_FIELDS.write(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "HydroParams":
-        try:
-            return cls(
-                rho=float(d["rho_kg_m3"]),
-                drag_coeff=float(d["drag_coeff"]),
-                frontal_area=float(d["frontal_area_m2"]),
-                added_mass_coeff=float(d["added_mass_coeff"]),
-                tip_span=float(d["tip_span_m"]),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"bad hydro parameter document: {e}") from e
+    def from_dict(cls, d) -> "HydroParams":
+        return HYDRO_FIELDS(d, "hydro JSON: $")
+
+
+HYDRO_FIELDS = Fields(
+    HydroParams, ("rho", "rho_kg_m3", number), ("drag_coeff", "drag_coeff", number),
+    ("frontal_area", "frontal_area_m2", number), ("added_mass_coeff", "added_mass_coeff", number),
+    ("tip_span", "tip_span_m", number))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,10 +137,7 @@ def sample_kinematics_stack(
     design alone."""
     if n_samples < 16:
         raise ValidationError("need at least 16 samples per period")
-    if not (math.isfinite(frequency) and frequency > 0):
-        raise ValidationError("frequency must be finite and positive")
-    if not (math.isfinite(amplitude) and amplitude >= 0):
-        raise ValidationError("amplitude must be finite and nonnegative")
+    check_actuation(amplitude, frequency)
     period = 1.0 / frequency
     times = np.array([period * j / n_samples for j in range(n_samples)])
     deltas = [waveform_delta(amplitude, frequency, t) for t in times.tolist()]

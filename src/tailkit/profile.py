@@ -27,7 +27,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 
 from .errors import ComputationError, ValidationError
-from .formats import read_numeric_csv
+from .formats import Array, Fields, integer, number, read_numeric_csv
 
 DEFAULT_DEGREE = 17
 
@@ -94,23 +94,21 @@ class PolyCurve:
         return len(self.coefficients) - 1
 
     def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "domain": [self.domain[0], self.domain[1]],
-            "coefficients": list(self.coefficients),
-        }
+        return CURVE_FIELDS.write(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PolyCurve":
-        try:
-            coeffs = tuple(float(c) for c in d["coefficients"])
-            domain = tuple(float(v) for v in d["domain"])
-            degree = int(d["degree"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"bad curve document: {e}") from e
-        if degree != len(coeffs) - 1:
-            raise ValidationError("degree field inconsistent with coefficient count")
-        return cls(coefficients=coeffs, domain=(domain[0], domain[1]))
+    def from_dict(cls, d) -> "PolyCurve":
+        return CURVE_FIELDS(d, "curve JSON: $")
+
+
+def _curve(degree: int, domain: tuple[float, float], coefficients: tuple[float, ...]) -> PolyCurve:
+    if degree != len(coefficients) - 1:
+        raise ValidationError("degree field inconsistent with coefficient count")
+    return PolyCurve(coefficients=coefficients, domain=domain)
+
+
+CURVE_FIELDS = Fields(_curve, ("degree", "degree", integer), ("domain", "domain", Array(number, 2)),
+                      ("coefficients", "coefficients", Array(number)))
 
 
 @dataclass(frozen=True)

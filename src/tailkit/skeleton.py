@@ -62,6 +62,9 @@ class SkeletonSpec:
         if self.spine_shape != "straight":
             raise ValidationError(f"unsupported spine_shape {self.spine_shape!r}")
 
+    h1 = property(lambda self: self.h1_h2[0])
+    h2 = property(lambda self: self.h1_h2[1])
+
 
 @dataclass(frozen=True)
 class Rib:

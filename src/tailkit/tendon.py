@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, ValidationError, require_finite
+from .formats import Fields, number
 from .skeleton import SkeletonGraph, SkeletonSpec, spine_segment_thicknesses
 
 DEFAULT_K_REF = 0.05  # N*m/rad at the reference (first-rib) thickness
@@ -93,22 +94,16 @@ class ActuationCommand:
         require_finite("actuation command", self.delta_top, self.delta_bottom, self.timestamp)
 
     def to_dict(self) -> dict:
-        return {
-            "delta_top_m": self.delta_top,
-            "delta_bottom_m": self.delta_bottom,
-            "timestamp_s": self.timestamp,
-        }
+        return COMMAND_FIELDS.write(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ActuationCommand":
-        try:
-            return cls(
-                delta_top=float(d["delta_top_m"]),
-                delta_bottom=float(d["delta_bottom_m"]),
-                timestamp=float(d.get("timestamp_s", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"bad actuation command document: {e}") from e
+    def from_dict(cls, d) -> "ActuationCommand":
+        return COMMAND_FIELDS(d, "actuation command JSON: $")
+
+
+COMMAND_FIELDS = Fields(
+    ActuationCommand, ("delta_top", "delta_top_m", number),
+    ("delta_bottom", "delta_bottom_m", number), ("timestamp", "timestamp_s", number))
 
 
 def _guide_ids(graph: SkeletonGraph) -> tuple[list[int], list[int], list[int]]:
@@ -530,17 +525,23 @@ def cable_lengths(
     return chain.cable_length(theta, 0), chain.cable_length(theta, 1)
 
 
+def check_actuation(amplitude: float, frequency: float) -> tuple[float, float]:
+    """(amplitude, frequency), if finite with frequency > 0 and amplitude >= 0."""
+    if not (math.isfinite(frequency) and frequency > 0):
+        raise ValidationError("frequency must be finite and positive")
+    if not (math.isfinite(amplitude) and amplitude >= 0):
+        raise ValidationError("amplitude must be finite and nonnegative")
+    return amplitude, frequency
+
+
 def waveform_delta(amplitude: float, frequency: float, t: float) -> float:
     """Top-cable shortening of the antagonistic sinusoid at time ``t``;
-    the caller checks the amplitude and frequency."""
+    the caller checks the amplitude and frequency (``check_actuation``)."""
     return amplitude * math.sin(2.0 * math.pi * frequency * t)
 
 
 def actuation_waveform(amplitude: float, frequency: float, t: float) -> ActuationCommand:
     """Antagonistic sinusoid: top shortens as the bottom pays out."""
-    if amplitude < 0:
-        raise ValidationError("amplitude must be nonnegative")
-    if frequency <= 0:
-        raise ValidationError("frequency must be positive")
+    check_actuation(amplitude, frequency)
     delta = waveform_delta(amplitude, frequency, t)
     return ActuationCommand(delta_top=delta, delta_bottom=-delta, timestamp=t)

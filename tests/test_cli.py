@@ -11,6 +11,7 @@ import tailkit
 from tailkit import explorer
 from tailkit.cli import build_parser, main
 from tailkit.export import skeleton_from_json
+from tailkit.hydro import HydroParams
 from tailkit.profile import reference_profile_path
 
 
@@ -286,7 +287,7 @@ class TestSweepAndPareto:
         out = tmp_path / "report.csv"
         assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "n_ribs_values: 6.7 is not a whole number" in err
+        assert "error: grid JSON: $.n_ribs_values[0] must be a whole number, got 6.7\n" == err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -332,6 +333,59 @@ class TestSweepAndPareto:
         lines = front.read_text().strip().split("\n")
         assert len(lines) == 2
         assert lines[1].startswith("good,")
+
+
+class TestStrictJsonInput:
+    """Well-formed JSON with a wrong key, type or range exits 1, naming the
+    document and the JSON path, and writes nothing."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"thickness_ratios": ["2"]}',
+         "grid JSON: $.thickness_ratios[0] must be a number, got '2'"),
+        ('{"thickness_ratios": [true]}',
+         "grid JSON: $.thickness_ratios[0] must be a number, got True"),
+        ('{"actuation": {"amplitude_m": "0.01", "frequency_hz": "1.5"}}',
+         "grid JSON: $.actuation.amplitude_m must be a number, got '0.01'"),
+        ('{"thickness_ratio": [2]}',
+         "grid JSON: $.thickness_ratio is not a known key; the keys are h1_h2_values, "
+         "thickness_ratios, n_ribs_values, base_spec, actuation, hydro, power"),
+        ('{"actuation": {"amplitude_m": 0.008, "frequency_hz": -1}}',
+         "grid JSON: $.actuation: frequency must be finite and positive"),
+        ('{"actuation": {"amplitude_m": -0.008, "frequency_hz": 1.5}}',
+         "grid JSON: $.actuation: amplitude must be finite and nonnegative"),
+    ])
+    def test_grid(self, tmp_path, capsys, doc, message):
+        grid = tmp_path / "grid.json"
+        grid.write_text(doc)
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_hydro(self, skel4, tmp_path, capsys):
+        hydro = tmp_path / "hydro.json"
+        hydro.write_text(json.dumps({**HydroParams().to_dict(), "drag_coeff": True}))
+        assert main(["swim", "--skeleton", str(skel4), "--hydro", str(hydro)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: hydro JSON: $.drag_coeff must be a number, got True\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("curve, key, value, message", [
+        ("upper", "degree", 17.5, "$.upper.degree must be an integer, got 17.5"),
+        ("lower", "domain", [0.0, 1.0, 2.0],
+         "$.lower.domain must be an array of 2 entries, got [0.0, 1.0, 2.0]"),
+    ])
+    def test_curves(self, tmp_path, capsys, curve, key, value, message):
+        fit = tmp_path / "fit.json"
+        run_ok(["fit", "--profile", str(reference_profile_path()), "--out", str(fit)])
+        doc = json.loads(fit.read_text())
+        doc[curve][key] = value
+        fit.write_text(json.dumps(doc))
+        out = tmp_path / "skel.json"
+        assert main(["skeleton", "--preset", "type4", "--curves", str(fit),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: curves file: {message}\n"
+        assert not out.exists()
 
 
 class TestExportCommand:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailkit import explorer, tendon
+from tailkit.cli import main
 from tailkit.energetics import DERIVED_MASS_KG, PowerModel, SwimResult
 from tailkit.errors import ValidationError
 from tailkit.hydro import HydroParams
@@ -66,12 +71,16 @@ class TestGrid:
         with pytest.raises(ValidationError) as caught:
             DesignGrid.from_dict(grid)
         assert str(caught.value) == (
-            f"grid n_ribs_values: {value!r} is not a whole number of ribs")
+            f"grid JSON: $.n_ribs_values[1] must be a whole number, got {value!r}")
         spec = {**spec_to_dict(SkeletonSpec()), "n_ribs": value}
-        with pytest.raises(ValidationError, match=f"n_ribs: {value!r} is not a whole number"):
+        with pytest.raises(ValidationError) as caught:
             spec_from_dict(spec)
-        with pytest.raises(ValidationError, match=f"n_ribs: {value!r} is not a whole number"):
+        assert str(caught.value) == (
+            f"skeleton spec JSON: $.n_ribs must be a whole number, got {value!r}")
+        with pytest.raises(ValidationError) as caught:
             DesignGrid.from_dict({"base_spec": spec})
+        assert str(caught.value) == (
+            f"grid JSON: $.base_spec.n_ribs must be a whole number, got {value!r}")
 
     def test_integral_float_rib_count_accepted(self):
         assert DesignGrid.from_dict({"n_ribs_values": [4, 6.0]}).n_ribs_values == (4, 6)
@@ -99,6 +108,88 @@ class TestGrid:
         with pytest.raises(ValidationError) as caught:
             DesignGrid(**{axis: values})
         assert str(caught.value) == f"grid {axis} {named}"
+
+
+def _json_type(value) -> str:
+    return {type(None): "null", bool: "boolean", int: "number", float: "number",
+            str: "string", list: "array", dict: "object"}[type(value)]
+
+
+def _json_paths(value, route=()):
+    """(route, JSON path) of every value in a JSON document, the root included."""
+    yield route, "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in route)
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _json_paths(item, route + (key,))
+
+
+def _replaced(doc, route, new):
+    if not route:
+        return new
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in route[:-1]:
+        parent = parent[key]
+    parent[route[-1]] = new
+    return doc
+
+
+def _at(doc, route):
+    for key in route:
+        doc = doc[key]
+    return doc
+
+
+_VALID_GRID = DesignGrid(h1_h2_values=((1.0, 1.0), (1.0, 2.0)), thickness_ratios=(1.0, 3.0),
+                         n_ribs_values=(4, 6)).to_dict()
+_GRID_PATHS = list(_json_paths(_VALID_GRID))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def _broken_grids(draw):
+    """A valid grid document with the value at one JSON path replaced by a
+    value of another JSON type, or a rib count by a non-whole number."""
+    route, path = draw(st.sampled_from(_GRID_PATHS))
+    old = _at(_VALID_GRID, route)
+    is_rib_count = route[:1] == ("n_ribs_values",) or route == ("base_spec", "n_ribs")
+    if is_rib_count and draw(st.booleans()):
+        new = draw(st.floats(-100, 100).filter(lambda v: not v.is_integer()))
+    else:
+        new = draw(_JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
+    return _replaced(_VALID_GRID, route, new), path
+
+
+class TestGridDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(_broken_grids())
+    def test_refusal_names_the_path(self, case):
+        # any other exception type, or a grid read from the document, fails
+        doc, path = case
+        with pytest.raises(ValidationError) as caught:
+            DesignGrid.from_dict(doc)
+        assert path in str(caught.value)
+
+    @settings(max_examples=5, deadline=None)
+    @given(_broken_grids())
+    def test_sweep_exits_1_and_writes_nothing(self, case):
+        doc, path = case
+        with tempfile.TemporaryDirectory() as tmp:
+            grid, out = Path(tmp) / "grid.json", Path(tmp) / "report.csv"
+            grid.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 1
+            assert err.getvalue().startswith("error: grid JSON: ")
+            assert path in err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            assert not out.exists()
 
 
 def _mixed_tasks(grid: DesignGrid) -> list[tuple]:

@@ -11,7 +11,18 @@ from hypothesis import strategies as st
 
 import tailkit
 from tailkit.errors import ValidationError
-from tailkit.formats import dump_json, load_json, read_numeric_csv
+from tailkit.formats import (
+    Array,
+    Fields,
+    dump_json,
+    integer,
+    load_json,
+    nullable,
+    number,
+    read_numeric_csv,
+    string,
+    whole,
+)
 
 HEADER = ("t_s", "x_m")
 
@@ -153,15 +164,79 @@ class TestStrictJson:
             load_json(text, "grid JSON")
 
 
+class TestJsonReaders:
+    @pytest.mark.parametrize("read, value, expected", [
+        (number, 2, 2.0), (number, -0.5, -0.5), (integer, 7, 7), (whole, 6.0, 6),
+        (whole, 6, 6), (string, "x", "x"), (nullable(number), None, None),
+        (Array(number, 2), [1, 2.5], (1.0, 2.5)), (Array(integer), [], ()),
+    ])
+    def test_accepts(self, read, value, expected):
+        got = read(value, "doc: $")
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("read, value, message", [
+        (number, "2", "doc: $ must be a number, got '2'"),
+        (number, True, "doc: $ must be a number, got True"),
+        (number, None, "doc: $ must be a number, got None"),
+        (integer, 17.5, "doc: $ must be an integer, got 17.5"),
+        (integer, 6.0, "doc: $ must be an integer, got 6.0"),
+        (whole, 6.7, "doc: $ must be a whole number, got 6.7"),
+        (whole, False, "doc: $ must be a whole number, got False"),
+        (string, 3, "doc: $ must be a string, got 3"),
+        (Array(number), {"a": 1}, "doc: $ must be an array, got {'a': 1}"),
+        (Array(number, 2), [0, 1, 2], "doc: $ must be an array of 2 entries, got [0, 1, 2]"),
+        (Array(Array(number, 2)), [[1, 2], [1, "2"]], "doc: $[1][1] must be a number, got '2'"),
+    ])
+    def test_refuses_naming_the_path(self, read, value, message):
+        with pytest.raises(ValidationError) as caught:
+            read(value, "doc: $")
+        assert str(caught.value) == message
+
+    def _pair(self, defaults=False):
+        def build(low=0.0, high=1.0):
+            if low > high:
+                raise ValidationError("low exceeds high")
+            return (low, high)
+
+        return Fields(build, ("low", "lo", number), ("high", "hi", number), defaults=defaults)
+
+    def test_fields_round_trip_in_table_order(self):
+        pair = self._pair()
+        assert list(pair.write((0.5, 2.0)).items()) == [("lo", 0.5), ("hi", 2.0)]
+        assert pair({"hi": 2, "lo": 0.5, "note": "kept out"}, "doc: $") == (0.5, 2.0)
+
+    def test_required_key_is_named(self):
+        with pytest.raises(ValidationError, match=r"^doc: \$\.x\.hi is missing$"):
+            self._pair()({"lo": 0.5}, "doc: $.x")
+
+    def test_defaults_fill_missing_keys_and_refuse_unknown_ones(self):
+        pair = self._pair(defaults=True)
+        assert pair({"hi": 3}, "doc: $") == (0.0, 3.0)
+        with pytest.raises(ValidationError) as caught:
+            pair({"lo": 0.5, "high": 3}, "doc: $")
+        assert str(caught.value) == "doc: $.high is not a known key; the keys are lo, hi"
+
+    def test_build_refusal_gets_the_object_path(self):
+        with pytest.raises(ValidationError) as caught:
+            Array(self._pair())([{"lo": 0, "hi": 1}, {"lo": 2, "hi": 1}], "doc: $")
+        assert str(caught.value) == "doc: $[1]: low exceeds high"
+
+
 def test_each_format_has_one_home():
     """json.dumps/json.loads live only in formats; csv is imported only by
-    formats (numeric CSV) and explorer (report CSV)."""
-    json_calls, csv_importers = set(), set()
+    formats (numeric CSV) and explorer (report CSV). No module catches
+    KeyError or TypeError: JSON documents are read through the checked
+    readers of formats, not by indexing and converting and catching what
+    goes wrong."""
+    json_calls, csv_importers, lax_readers = set(), set(), set()
     for path in Path(tailkit.__file__).parent.glob("*.py"):
         source = path.read_text(encoding="utf-8")
         if re.search(r"\bjson\.(dumps|loads)\b", source):
             json_calls.add(path.name)
         if re.search(r"^\s*(import csv\b|from csv import)", source, re.MULTILINE):
             csv_importers.add(path.name)
+        if re.search(r"^\s*except\b[^:]*\b(KeyError|TypeError)\b", source, re.MULTILINE):
+            lax_readers.add(path.name)
     assert json_calls == {"formats.py"}
     assert csv_importers == {"formats.py", "explorer.py"}
+    assert lax_readers == set()

@@ -202,6 +202,25 @@ class TestBend:
             bend_from_cables(graph, routing, ActuationCommand(0.0, 0.0), [0.05, 0.05])
 
 
+class TestTwoCableBend:
+    def test_meets_both_lengths_at_a_stationary_point(self, type4_design):
+        # both cables shortened: both constraints hold, and the joint torques
+        # k*theta are balanced by the two cable tensions alone
+        _, graph, routing, k = type4_design
+        cmd = ActuationCommand(0.003, 0.001)
+        pose = bend_from_cables(graph, routing, cmd, k)
+        top, bottom = cable_lengths(graph, routing, pose)
+        assert abs(top - (routing.slack_length_top - cmd.delta_top)) <= CONSTRAINT_TOL_M
+        assert abs(bottom - (routing.slack_length_bottom - cmd.delta_bottom)) <= CONSTRAINT_TOL_M
+        theta = np.asarray(pose.segment_angles)
+        spine0, seg_vec, off_top, off_bot = chain_arrays(graph)
+        grads = np.stack([fk_length_and_grad(theta, spine0, seg_vec, off)[1]
+                          for off in (off_top, off_bot)], axis=1)
+        torques = np.asarray(k) * theta
+        tensions = np.linalg.lstsq(grads, torques, rcond=None)[0]
+        assert np.abs(grads @ tensions - torques).max() <= 1e-9 * max(k)
+
+
 class TestBatchedBend:
     @pytest.fixture(scope="class")
     def preset_designs(self, fitted_curves):
@@ -552,5 +571,6 @@ class TestWaveform:
             ActuationCommand(*args)
 
     def test_command_dict_validation(self):
-        with pytest.raises(ValidationError, match="command"):
+        with pytest.raises(ValidationError) as caught:
             ActuationCommand.from_dict({"delta_top_m": 0.001})
+        assert str(caught.value) == "actuation command JSON: $.delta_bottom_m is missing"
