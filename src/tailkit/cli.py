@@ -363,7 +363,7 @@ def build_parser() -> _Parser:
                    help="emit the bundled measured reference records instead of simulating")
     p.add_argument("--out", required=True, help="output report CSV")
     p.add_argument("--jobs", type=int,
-                   help="worker processes (default 1: a design takes about 0.7 ms, "
+                   help="worker processes (default 1: a design takes about 0.6 ms, "
                         "so a process pool pays off only from about 100 grid points)")
     p.add_argument("--plot-out", help="also write speed/COT scatter CSV here")
     p.add_argument("--json-out", help="also write the lossless JSON report here")

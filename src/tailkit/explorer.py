@@ -36,12 +36,12 @@ from .profile import (
     interpolate_gap,
     load_reference_profile,
 )
-from .skeleton import SkeletonSpec, generate_skeleton, six_presets
+from .skeleton import SkeletonSpec, six_presets
 from .tendon import (
     DEFAULT_AMPLITUDE_M,
     DEFAULT_FREQUENCY_HZ,
+    Chain,
     check_actuation,
-    route_cables,
     segment_stiffnesses,
 )
 
@@ -181,11 +181,9 @@ def _evaluate_specs(
     mass: float = DERIVED_MASS_KG,
 ) -> list[SwimResult]:
     """``evaluate_design`` of specs with one rib count, from one stacked
-    kinematics solve; raises what the first failing step raises."""
-    designs = []
-    for spec in specs:
-        graph = generate_skeleton(spec, *curves)
-        designs.append((graph, route_cables(graph), segment_stiffnesses(spec)))
+    kinematics solve; raises what the first failing step raises. Each
+    design's chain comes straight from its spec, without a skeleton graph."""
+    designs = [(Chain.from_spec(spec, *curves), segment_stiffnesses(spec)) for spec in specs]
     histories = sample_kinematics_stack(designs, amplitude, frequency)
     speeds = [steady_speed_from_history(history, hydro) for history in histories]
     watts = predict_power(power, amplitude, frequency)

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ComputationError, ValidationError, require_finite
 from .formats import Fields, number
 from .skeleton import SkeletonGraph
-from .tendon import CableRouting, bend_antagonistic_stack, check_actuation, waveform_delta
+from .tendon import CableRouting, Chain, bend_antagonistic_stack, check_actuation, waveform_delta
 
 DEFAULT_N_SAMPLES = 64
 MAX_SPEED_M_S = 2.0
@@ -119,7 +119,7 @@ def sample_kinematics(
 ) -> MidlineHistory:
     """Solve the bend pose at uniform phases over one actuation period."""
     (history,) = sample_kinematics_stack(
-        [(graph, routing, stiffnesses)], amplitude, frequency, n_samples
+        [(Chain.from_graph(graph, routing), stiffnesses)], amplitude, frequency, n_samples
     )
     return history
 
@@ -130,8 +130,8 @@ def sample_kinematics_stack(
     frequency: float,
     n_samples: int = DEFAULT_N_SAMPLES,
 ) -> list[MidlineHistory]:
-    """``sample_kinematics`` of several (graph, routing, stiffnesses) designs
-    with the same joint count: the phase grid and its commands are built
+    """``sample_kinematics`` of several (``tendon.Chain``, stiffnesses)
+    designs with the same joint count: the phase grid and its commands are built
     once, and all poses come from one stacked bend solve
     (``tendon.bend_antagonistic_stack``). Each history equals that of the
     design alone."""

@@ -123,12 +123,6 @@ class SkeletonGraph:
                     f"(boundary {self.head_boundary_x})"
                 )
 
-    def node_by_id(self, node_id: int) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise ValidationError(f"no node with id {node_id}")
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -146,6 +140,8 @@ def rib_thicknesses(spec: SkeletonSpec) -> list[float]:
     ratios rely on.
     """
     t_last = spec.thickness_first / spec.thickness_ratio
+    if not t_last > 0:  # the division underflowed
+        raise ValidationError("rib thickness must be positive")
     return [float(t) for t in np.linspace(spec.thickness_first, t_last, spec.n_ribs)]
 
 
@@ -154,24 +150,18 @@ def spine_segment_thicknesses(spec: SkeletonSpec) -> list[float]:
     return rib_thicknesses(spec)[:-1]
 
 
-def generate_skeleton(
-    spec: SkeletonSpec, upper: PolyCurve, lower: PolyCurve
-) -> SkeletonGraph:
-    """Place ribs on the profile and wire up bars and cable-guide strings.
+def rib_stations(spec: SkeletonSpec, upper: PolyCurve, lower: PolyCurve) -> tuple[np.ndarray, ...]:
+    """Each rib's x, y_top, y_spine and y_bottom in meters, head to tail.
 
-    The curves are unit-chord shapes; all geometry scales by
-    spec.body_length. Per rib there are three nodes (top guide, spine,
-    bottom guide); bars form the two rib halves and the rod segments
-    between consecutive spine nodes; strings chain the top guides and
-    the bottom guides (the two cable paths).
+    Ribs sit at uniform stations from the head boundary to the tip margin;
+    the curves are unit-chord shapes, so all geometry scales by
+    spec.body_length.
     """
     length = spec.body_length
     head_x = spec.head_fraction * length
     tip_x = length * (1.0 - TIP_MARGIN_FRACTION)
     if head_x >= tip_x:
-        raise ValidationError(
-            "head region reaches past the last usable profile station"
-        )
+        raise ValidationError("head region reaches past the last usable profile station")
     stations = np.linspace(head_x, tip_x, spec.n_ribs)
     x_norm = stations / length
     y_top = np.asarray(eval_profile(upper, x_norm)) * length
@@ -182,39 +172,35 @@ def generate_skeleton(
         raise ValidationError(f"rib span is not positive at x={bad:.4f}")
     h1, h2 = spec.h1_h2
     y_spine = y_bot + (h2 / (h1 + h2)) * spans
-    thicknesses = rib_thicknesses(spec)
+    if np.any(y_spine > y_top):  # h1 ~1e-17 of h2 or less, rounded
+        raise ValidationError("rib requires y_bottom <= y_spine <= y_top")
+    return stations, y_top, y_spine, y_bot
 
+
+def generate_skeleton(spec: SkeletonSpec, upper: PolyCurve, lower: PolyCurve) -> SkeletonGraph:
+    """Place ribs on the profile (``rib_stations``) and wire up bars and
+    cable-guide strings.
+
+    Per rib there are three nodes (top guide, spine, bottom guide); bars
+    form the two rib halves and the rod segments between consecutive spine
+    nodes; strings chain the top guides and the bottom guides (the two
+    cable paths).
+    """
+    ribs_at = zip(*(a.tolist() for a in rib_stations(spec, upper, lower)), rib_thicknesses(spec))
     nodes: list[Node] = []
     ribs: list[Rib] = []
     bars: list[tuple[int, int]] = []
     strings: list[tuple[int, int]] = []
-    for i in range(spec.n_ribs):
+    for i, (x, y_top, y_spine, y_bot, thickness) in enumerate(ribs_at):
         top_id, spine_id, bot_id = 3 * i, 3 * i + 1, 3 * i + 2
-        nodes.append(Node(top_id, float(stations[i]), float(y_top[i])))
-        nodes.append(Node(spine_id, float(stations[i]), float(y_spine[i])))
-        nodes.append(Node(bot_id, float(stations[i]), float(y_bot[i])))
-        ribs.append(
-            Rib(
-                x=float(stations[i]),
-                y_top=float(y_top[i]),
-                y_bottom=float(y_bot[i]),
-                y_spine=float(y_spine[i]),
-                thickness=thicknesses[i],
-            )
-        )
-        bars.append((top_id, spine_id))
-        bars.append((spine_id, bot_id))
+        nodes += [Node(top_id, x, y_top), Node(spine_id, x, y_spine), Node(bot_id, x, y_bot)]
+        ribs.append(Rib(x=x, y_top=y_top, y_bottom=y_bot, y_spine=y_spine, thickness=thickness))
+        bars += [(top_id, spine_id), (spine_id, bot_id)]
         if i > 0:
             bars.append((3 * (i - 1) + 1, spine_id))
-            strings.append((3 * (i - 1), top_id))
-            strings.append((3 * (i - 1) + 2, bot_id))
-    return SkeletonGraph(
-        nodes=tuple(nodes),
-        bars=tuple(bars),
-        strings=tuple(strings),
-        ribs=tuple(ribs),
-        head_boundary_x=head_x,
-    )
+            strings += [(3 * (i - 1), top_id), (3 * (i - 1) + 2, bot_id)]
+    return SkeletonGraph(nodes=tuple(nodes), bars=tuple(bars), strings=tuple(strings),
+                         ribs=tuple(ribs), head_boundary_x=spec.head_fraction * spec.body_length)
 
 
 # The six stock designs: (h1:h2, thickness ratio) per type 1..6.

@@ -11,19 +11,21 @@ a cable out (delta <= 0) leaves it slack and unconstraining.
 
 The solve is quasi-static (no tail inertia) and exploits that the
 polyline length decomposes into per-joint terms: the cable segment
-between guides i and i+1 has length |R(theta_i) a_i - b_i| with a_i,
-b_i fixed by the straight-pose geometry, so lengths, their derivatives
-and the geometric shortening limit are closed-form. A pose with one
-taut cable, whether a single command (``bend_from_cables``) or a run of
+between guides i and i+1 has length |R(theta_i) a_i - b_i| with a_i, b_i
+fixed by the straight-pose geometry (``Chain``, from a routed graph or
+straight from a spec's rib stations), so lengths, their derivatives and
+the geometric shortening limit are closed-form. A pose with one taut
+cable, whether a single command (``bend_from_cables``) or a run of
 antagonistic ones solved together, as over a swimming period
 (``bend_antagonistic``), comes from a bordered Newton iteration that
-costs O(n_seg) per step; a batch stays as angle and midline arrays.
-Rows of that iteration never mix, so a sweep stacks the phases of
-several designs with the same joint count into one solve
-(``bend_antagonistic_stack``), each getting the bits it gets alone; a row
-Newton fails on is solved again under load continuation. Only a command
-that shortens both cables needs a general root find with load
-continuation, the only use of scipy, imported on that path alone.
+costs O(n_seg) per step; a batch stays as angle and midline arrays. Rows
+of that iteration never mix, so a sweep stacks the phases of several
+designs with the same joint count into one solve
+(``bend_antagonistic_stack``), each getting the bits it gets alone; a
+row Newton fails on is solved again under load continuation. Only a
+command that shortens both cables needs a general root find with load
+continuation, the only use of scipy, imported on that path alone; its
+pose is refused unless it is certified a constrained minimum.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ import numpy as np
 
 from .errors import ComputationError, ValidationError, require_finite
 from .formats import Fields, number
-from .skeleton import SkeletonGraph, SkeletonSpec, spine_segment_thicknesses
+from .profile import PolyCurve
+from .skeleton import SkeletonGraph, SkeletonSpec, rib_stations, spine_segment_thicknesses
 
 DEFAULT_K_REF = 0.05  # N*m/rad at the reference (first-rib) thickness
 DEFAULT_AMPLITUDE_M = 0.008
@@ -54,16 +57,12 @@ class CableRouting:
 
     top_guides: tuple[int, ...]
     bottom_guides: tuple[int, ...]
-    anchor_top: int
-    anchor_bottom: int
     slack_length_top: float
     slack_length_bottom: float
 
     def __post_init__(self):
         if len(self.top_guides) < 2 or len(self.bottom_guides) < 2:
             raise ValidationError("each cable needs at least 2 guides")
-        if self.anchor_top != self.top_guides[-1] or self.anchor_bottom != self.bottom_guides[-1]:
-            raise ValidationError("cable anchors must be the tail-most guides")
         if self.slack_length_top <= 0 or self.slack_length_bottom <= 0:
             raise ValidationError("slack lengths must be positive")
 
@@ -127,6 +126,13 @@ def _guide_ids(graph: SkeletonGraph) -> tuple[list[int], list[int], list[int]]:
     return ids[0::3], ids[1::3], ids[2::3]
 
 
+def _polyline_length(x, y) -> float:
+    """Length of the polyline through the points (x[i], y[i]), summed in
+    order: a cable's straight-pose slack length from its guides, head to tail."""
+    return float(sum(math.hypot(x1 - x0, y1 - y0)
+                     for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])))
+
+
 def route_cables(graph: SkeletonGraph) -> CableRouting:
     """Thread one cable through all top guides and one through all bottom
     guides; slack lengths are the straight-pose polyline lengths."""
@@ -135,21 +141,11 @@ def route_cables(graph: SkeletonGraph) -> CableRouting:
     if not graph.strings:
         raise ValidationError("graph has no strings to route cables along")
     tops, _, bottoms = _guide_ids(graph)
-
-    def polyline(ids: list[int]) -> float:
-        pts = [graph.node_by_id(i) for i in ids]
-        return float(
-            sum(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:]))
-        )
-
-    return CableRouting(
-        top_guides=tuple(tops),
-        bottom_guides=tuple(bottoms),
-        anchor_top=tops[-1],
-        anchor_bottom=bottoms[-1],
-        slack_length_top=polyline(tops),
-        slack_length_bottom=polyline(bottoms),
-    )
+    node = {n.id: n for n in graph.nodes}
+    slack_top, slack_bottom = (_polyline_length([node[i].x for i in ids], [node[i].y for i in ids])
+                               for ids in (tops, bottoms))
+    return CableRouting(top_guides=tuple(tops), bottom_guides=tuple(bottoms),
+                        slack_length_top=slack_top, slack_length_bottom=slack_bottom)
 
 
 def segment_stiffnesses(spec: SkeletonSpec, k_ref: float = DEFAULT_K_REF) -> list[float]:
@@ -201,37 +197,53 @@ def _midlines(theta: np.ndarray, seg_vec: np.ndarray, origin: np.ndarray) -> np.
     return np.cumsum(pts, axis=-2)
 
 
-class _Chain:
-    """Straight-pose geometry of the joint chain, precomputed.
+class Chain:
+    """Straight-pose geometry of one design's joint chain, precomputed.
 
-    Cable segment i joins guide i to guide i+1 and has length
+    Built from each rib's station ``x`` and heights ``y_top``, ``y_spine``
+    and ``y_bottom`` (float arrays, head to tail), with the two cables'
+    slack lengths. Cable segment i joins guide i to guide i+1 and has length
     |R(theta_i) a_i - b_i| with a_i, b_i fixed by the straight pose, so
 
         l_i**2 = C_i - 2 * (p_i * cos(theta_i) + q_i * sin(theta_i)),
 
     with p = a . b and q = a x b. Row 0 of ``p``, ``q`` and ``c`` belongs
-    to the top cable, row 1 to the bottom one.
+    to the top cable, row 1 to the bottom one, as in ``slack``.
     """
 
-    def __init__(self, graph: SkeletonGraph, routing: CableRouting):
-        tops, spines, bottoms = _guide_ids(graph)
-        if list(routing.top_guides) != tops or list(routing.bottom_guides) != bottoms:
-            raise ValidationError("routing does not match this graph's guides")
-        node = {n.id: n for n in graph.nodes}
-        self.spine0 = np.array([[node[i].x, node[i].y] for i in spines])
-        self.seg_vec = np.diff(self.spine0, axis=0)  # (n_seg, 2)
+    def __init__(self, x, y_top, y_spine, y_bottom, slack_top: float, slack_bottom: float):
+        self.slack = (slack_top, slack_bottom)
+        self.spine0 = np.array([x, y_spine]).T  # (n_ribs, 2)
+        self.seg_vec = self.spine0[1:] - self.spine0[:-1]  # (n_seg, 2)
         self.n_seg = len(self.seg_vec)
-        # guides sit straight above/below their spine node: b_i = (0, off_i),
+        # guides sit straight above/below their spine point: b_i = (0, off_i),
         # a_i = seg_vec_i + (0, off_i+1)
-        off = np.array(
-            [[node[g].y - node[s].y for g, s in zip(guides, spines)] for guides in (tops, bottoms)]
-        )
+        off = np.array([y_top, y_bottom]) - y_spine
         ax = self.seg_vec[:, 0]
         ay = self.seg_vec[:, 1] + off[:, 1:]
         by = off[:, :-1]
         self.p = ay * by
         self.q = ax * by
         self.c = ax**2 + ay**2 + by**2
+
+    @classmethod
+    def from_graph(cls, graph: SkeletonGraph, routing: CableRouting) -> "Chain":
+        """The chain of a routed graph; each rib's matched nodes are its geometry."""
+        tops, spines, bottoms = _guide_ids(graph)
+        if list(routing.top_guides) != tops or list(routing.bottom_guides) != bottoms:
+            raise ValidationError("routing does not match this graph's guides")
+        node = {n.id: n for n in graph.nodes}
+        rows = [[node[i].x for i in spines]] + [[node[i].y for i in ids]
+                                                for ids in (tops, spines, bottoms)]
+        return cls(*np.array(rows), routing.slack_length_top, routing.slack_length_bottom)
+
+    @classmethod
+    def from_spec(cls, spec: SkeletonSpec, upper: PolyCurve, lower: PolyCurve) -> "Chain":
+        """The chain of ``generate_skeleton(spec, upper, lower)`` routed by
+        ``route_cables``, bit for bit, straight from the rib stations."""
+        x, y_top, y_spine, y_bottom = rib_stations(spec, upper, lower)
+        return cls(x, y_top, y_spine, y_bottom,
+                   *(_polyline_length(x.tolist(), y.tolist()) for y in (y_top, y_bottom)))
 
     def rows(self, cable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``p``, ``q`` and ``c`` of cable row ``cable`` (0 top, 1 bottom), or
@@ -264,7 +276,7 @@ class _Chain:
         return TailPose(segment_angles=tuple(theta.tolist()), midline=midline)
 
 
-def _check_stiffnesses(chain: _Chain, stiffnesses) -> np.ndarray:
+def _check_stiffnesses(chain: Chain, stiffnesses) -> np.ndarray:
     k = np.asarray(stiffnesses, dtype=float)
     if k.shape != (chain.n_seg,):
         raise ValidationError(
@@ -275,11 +287,8 @@ def _check_stiffnesses(chain: _Chain, stiffnesses) -> np.ndarray:
     return k
 
 
-def _check_travel(routing: CableRouting, delta_top: float, delta_bottom: float) -> None:
-    for name, delta, slack in (
-        ("top", delta_top, routing.slack_length_top),
-        ("bottom", delta_bottom, routing.slack_length_bottom),
-    ):
+def _check_travel(chain: Chain, delta_top: float, delta_bottom: float) -> None:
+    for name, delta, slack in zip(("top", "bottom"), (delta_top, delta_bottom), chain.slack):
         if abs(delta) > TRAVEL_LIMIT_FRACTION * slack + 1e-15:
             raise ValidationError(
                 f"delta_{name} {delta:.4g} m exceeds the motor travel limit "
@@ -320,8 +329,9 @@ def _continue_load(solve_at, z):
     return z
 
 
-def _solve_constrained(chain: _Chain, k: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Minimum spring energy with both cables taut at lengths ``target``.
+def _solve_constrained(chain: Chain, k, target) -> list[np.ndarray]:
+    """Angles and multipliers lambda of minimum spring energy with both
+    cables taut at lengths ``target`` (a pulling cable has lambda < 0).
 
     A root find on the stationarity system k_i*theta_i = sum_a lambda_a *
     dL_a/dtheta_i and the two length constraints, under load continuation.
@@ -356,7 +366,22 @@ def _solve_constrained(chain: _Chain, k: np.ndarray, target: np.ndarray) -> np.n
             )
         return sol.x
 
-    return _continue_load(solve_at, np.zeros(n + 2))[:n]
+    return np.split(_continue_load(solve_at, np.zeros(n + 2)), [n])
+
+
+def _certify_minimum(chain: Chain, k, theta, lam) -> None:
+    """Refuse a two-cable pose unless no cable pushes (lambda <= 0) and the
+    Hessian of the Lagrangian, diag(k - sum_a lambda_a * l_a''), is positive
+    definite on the null space of the constraint Jacobian (N&W 12.5)."""
+    for name, pull in zip(("top", "bottom"), lam.tolist()):
+        if pull > 0:
+            raise ComputationError(f"two-cable bend needs the {name} cable to push ({pull:.3g} N)")
+    _, d1, d2 = chain.segment_lengths(np.stack([theta, theta]), np.arange(2))
+    null = np.linalg.svd(d1)[2][2:]  # rows span the null space of the 2 x n Jacobian
+    lowest = np.linalg.eigvalsh(null @ ((k - lam @ d2)[:, None] * null.T)).min(initial=np.inf)
+    if not lowest > 0:
+        raise ComputationError(f"two-cable bend is a saddle point, not a minimum (reduced "
+                               f"Hessian eigenvalue {lowest:.3g})")
 
 
 def _newton(p, q, c, k, stat_tol, target, theta, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -385,7 +410,7 @@ def _solve_one_cable(
 ) -> np.ndarray:
     """Minimum-energy angles of many poses, each with one taut cable.
 
-    Row j pulls a cable with geometry ``p[j], q[j], c[j]`` (see ``_Chain``)
+    Row j pulls a cable with geometry ``p[j], q[j], c[j]`` (see ``Chain``)
     to length ``target[j]`` against joint stiffnesses ``k[j]``, and is
     stationary within ``stat_tol[j]``. Newton's method on the stationarity
     system k_i*theta_i = lambda * l_i'(theta_i) and the constraint
@@ -434,17 +459,17 @@ def bend_from_cables(
     stiffnesses: list[float] | tuple[float, ...] | np.ndarray,
 ) -> TailPose:
     """Pose of minimum elastic energy under the commanded cable lengths."""
-    chain = _Chain(graph, routing)
+    chain = Chain.from_graph(graph, routing)
     k = _check_stiffnesses(chain, stiffnesses)
-    _check_travel(routing, cmd.delta_top, cmd.delta_bottom)
+    _check_travel(chain, cmd.delta_top, cmd.delta_bottom)
 
-    target = np.array([routing.slack_length_top - cmd.delta_top,
-                       routing.slack_length_bottom - cmd.delta_bottom])
+    target = np.subtract(chain.slack, (cmd.delta_top, cmd.delta_bottom))
     taut = [cable for cable, delta in enumerate((cmd.delta_top, cmd.delta_bottom)) if delta > 0]
     if len(taut) == 2:
         _check_reachable(chain.min_cable_lengths(), target)
-        theta = _solve_constrained(chain, k, target)
+        theta, lam = _solve_constrained(chain, k, target)
         _check_angle_range(theta)
+        _certify_minimum(chain, k, theta, lam)
     elif taut:
         theta = _solve_taut(chain.min_cable_lengths()[taut], chain.rows(taut), k[None],
                             k.max(keepdims=True), target[taut])[0]
@@ -467,7 +492,8 @@ def bend_antagonistic(
     and midlines (n, n_seg + 1, 2), all solved together; row j is the pose
     ``bend_from_cables`` returns for command j, to solver tolerance.
     """
-    angles, midlines = bend_antagonistic_stack([(graph, routing, stiffnesses)], deltas)
+    angles, midlines = bend_antagonistic_stack([(Chain.from_graph(graph, routing), stiffnesses)],
+                                               deltas)
     return angles[0], midlines[0]
 
 
@@ -476,18 +502,15 @@ def bend_antagonistic_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``bend_antagonistic`` for several designs under the same commands.
 
-    ``designs`` holds (graph, routing, stiffnesses) triples whose chains
-    share one joint count. Every design gets the checks of the one-design
+    ``designs`` holds (chain, stiffnesses) pairs whose chains share one
+    joint count. Every design gets the checks of the one-design
     call, with its messages; then the taut phases of all of them go
     through one Newton solve. Returns angles (designs, n, n_seg) and
     midlines (designs, n, n_seg + 1, 2); entry i equals, bit for bit, what
     ``bend_antagonistic`` returns for design i alone.
     """
-    chains, ks, slacks = [], [], []
-    for graph, routing, stiffnesses in designs:
-        chains.append(_Chain(graph, routing))
-        ks.append(_check_stiffnesses(chains[-1], stiffnesses))
-        slacks.append((routing.slack_length_top, routing.slack_length_bottom))
+    chains = [chain for chain, _ in designs]
+    ks = [_check_stiffnesses(chain, stiffnesses) for chain, stiffnesses in designs]
     if len({chain.n_seg for chain in chains}) != 1:
         raise ValidationError("a stack needs one or more designs with the same joint count")
     d = np.asarray(deltas, dtype=float)
@@ -495,14 +518,14 @@ def bend_antagonistic_stack(
         raise ValidationError("antagonistic deltas must be a sequence of finite numbers")
     if d.size:
         worst = float(d[np.argmax(np.abs(d))])
-        for _, routing, _ in designs:
-            _check_travel(routing, worst, -worst)
+        for chain in chains:
+            _check_travel(chain, worst, -worst)
 
     theta = np.zeros((len(chains), d.size, chains[0].n_seg))
     taut = d != 0.0
     if taut.any():
         cable = np.where(d[taut] > 0, 0, 1)
-        target = np.array(slacks)[:, cable] - np.abs(d[taut])  # (designs, taut)
+        target = np.array([c.slack for c in chains])[:, cable] - np.abs(d[taut])  # (designs, taut)
         feasible_min = np.array([chain.min_cable_lengths() for chain in chains])[:, cable]
         rows = [np.concatenate(r) for r in zip(*(chain.rows(cable) for chain in chains))]
         k, k_max = np.repeat(ks, cable.size, axis=0), np.repeat(np.max(ks, axis=1), cable.size)
@@ -518,7 +541,7 @@ def cable_lengths(
     graph: SkeletonGraph, routing: CableRouting, pose: TailPose
 ) -> tuple[float, float]:
     """Polyline cable lengths through the displaced guides of a pose."""
-    chain = _Chain(graph, routing)
+    chain = Chain.from_graph(graph, routing)
     theta = np.asarray(pose.segment_angles, dtype=float)
     if theta.shape != (chain.n_seg,):
         raise ValidationError(f"pose has {len(theta)} angles, graph needs {chain.n_seg}")

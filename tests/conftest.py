@@ -88,7 +88,9 @@ def oracle_bend(target_length, stiffness, spine0, seg_vec, guide_off_y,
 
     Grids (theta1, theta2) at ``res``, solves theta3 from the length
     constraint by bisection on the forward kinematics, and returns the
-    feasible triple of least spring energy.
+    feasible triple of least spring energy. Only the feasible cells are
+    bisected; they keep their row-major order, so the first of equal
+    minima is the one a search over the whole grid finds.
     """
     t1 = np.arange(lo, hi + res / 2, res)
     t2 = np.arange(lo, hi + res / 2, res)
@@ -98,20 +100,21 @@ def oracle_bend(target_length, stiffness, spine0, seg_vec, guide_off_y,
     th[..., 2] = hi
     f_hi = fk_cable_length(th, spine0, seg_vec, guide_off_y) - target_length
     feasible = (f_lo > 0) & (f_hi < 0)  # length decreases in theta3 on this range
-    a = np.full(g1.shape, lo)
-    b = np.full(g1.shape, hi)
+    th = th[feasible]  # (cells, 3), row-major
+    a = np.full(len(th), lo)
+    b = np.full(len(th), hi)
     for _ in range(iters):
         mid = 0.5 * (a + b)
-        th[..., 2] = mid
+        th[:, 2] = mid
         f_mid = fk_cable_length(th, spine0, seg_vec, guide_off_y) - target_length
         go_up = f_mid > 0
         a = np.where(go_up, mid, a)
         b = np.where(go_up, b, mid)
     t3 = 0.5 * (a + b)
-    energy = 0.5 * (stiffness[0] * g1**2 + stiffness[1] * g2**2 + stiffness[2] * t3**2)
-    energy = np.where(feasible, energy, np.inf)
-    i, j = np.unravel_index(np.argmin(energy), energy.shape)
-    return np.array([g1[i, j], g2[i, j], t3[i, j]]), float(energy[i, j])
+    energy = 0.5 * (stiffness[0] * th[:, 0]**2 + stiffness[1] * th[:, 1]**2
+                    + stiffness[2] * t3**2)
+    i = np.argmin(energy)
+    return np.array([th[i, 0], th[i, 1], t3[i]]), float(energy[i])
 
 
 def chain_arrays(graph):

@@ -150,6 +150,29 @@ class TestBendCommand:
         assert code == 1
         assert "travel limit" in capsys.readouterr().err
 
+    def test_two_cable_minimum_exits_0(self, skel4, tmp_path, capsys):
+        # both cables pull (multipliers ~ -10.8 and -5.4 N) and the reduced
+        # Hessian's smallest eigenvalue is ~ +0.04: a constrained minimum
+        out = tmp_path / "pose.json"
+        run_ok(["bend", "--skeleton", str(skel4), "--delta-top", "0.003",
+                "--delta-bottom", "0.001", "--out", str(out)])
+        assert len(json.loads(out.read_text())["segment_angles_rad"]) == 5
+        assert capsys.readouterr().err == ""
+
+    def test_two_cable_saddle_exits_2(self, tmp_path, capsys):
+        # a stationary pose with both cables pulling whose reduced Hessian has
+        # an eigenvalue of ~ -0.114: a saddle point, refused
+        skel, out = tmp_path / "skel.json", tmp_path / "pose.json"
+        run_ok(["skeleton", "--h1h2", "2:1", "--thickness-ratio", "1", "--ribs", "12",
+                "--out", str(skel)])
+        code = main(["bend", "--skeleton", str(skel), "--delta-top", "0.0030945658038681626",
+                     "--delta-bottom", "0.0033219901234844956", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "computation error: two-cable bend is a saddle point, not a minimum "
+            "(reduced Hessian eigenvalue -0.114)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("shift, code", [(0.0, 0), (2e-6, 1)])
     def test_guides_match_within_tolerance(self, skel4, tmp_path, capsys, shift, code):
         # a rib endpoint rounded by hand still finds its node within 1e-6 m,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailkit import explorer, tendon
+from tailkit import explorer, skeleton, tendon
 from tailkit.cli import main
 from tailkit.energetics import DERIVED_MASS_KG, PowerModel, SwimResult
 from tailkit.errors import ValidationError
@@ -31,7 +31,7 @@ from tailkit.explorer import (
     spec_from_dict,
     spec_to_dict,
 )
-from tailkit.skeleton import SkeletonSpec
+from tailkit.skeleton import SkeletonSpec, generate_skeleton
 from tailkit.tendon import ActuationCommand, TailPose, bend_from_cables
 
 
@@ -270,6 +270,34 @@ class TestSweep:
         assert len(records) == 1
         assert records[0].result is None
         assert "head region" in records[0].error
+
+    def test_no_skeleton_graph_on_the_sweep_path(self, monkeypatch, small_grid, small_records):
+        # each design's chain comes straight from its spec: no graph, no
+        # routing and no guide matching
+        def refuse(*args, **kwargs):
+            raise AssertionError("built through the skeleton graph")
+
+        for module, name in ((skeleton, "generate_skeleton"), (skeleton, "SkeletonGraph"),
+                             (tendon, "route_cables"), (tendon, "CableRouting"),
+                             (tendon, "_guide_ids")):
+            monkeypatch.setattr(module, name, refuse)
+        assert run_sweep(small_grid) == small_records
+
+    @pytest.mark.parametrize("base, h1h2, ratio, swap", [
+        (SkeletonSpec(head_fraction=0.99), (1.0, 1.0), 1.0, False),  # head region past the tip
+        (SkeletonSpec(), (1.0, 1.0), 1.0, True),  # curves swapped: non-positive rib span
+        (SkeletonSpec(), (1e-20, 1.0), 1.0, False),  # spine rounded above the top guide
+        (SkeletonSpec(thickness_first=1e-300), (1.0, 1.0), 1e300, False),  # last rib 0 mm
+    ])
+    def test_point_fails_as_its_skeleton_does(self, fitted_curves, base, h1h2, ratio, swap):
+        upper, lower, _ = fitted_curves
+        curves = (lower, upper) if swap else (upper, lower)
+        grid = DesignGrid(h1_h2_values=(h1h2,), thickness_ratios=(ratio,), n_ribs_values=(4,),
+                          base_spec=base)
+        (record,) = run_sweep(grid, curves=curves)
+        with pytest.raises(ValidationError) as caught:
+            generate_skeleton(record.spec, *curves)
+        assert record.error == str(caught.value)
 
     def test_evaluate_design_result_shape(self):
         result = evaluate_design(

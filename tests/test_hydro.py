@@ -19,7 +19,7 @@ from tailkit.hydro import (
     steady_speed_from_history,
 )
 from tailkit.skeleton import generate_skeleton
-from tailkit.tendon import route_cables, segment_stiffnesses
+from tailkit.tendon import Chain, route_cables, segment_stiffnesses
 
 AMPLITUDE = 0.008
 FREQUENCY = 1.5
@@ -81,7 +81,8 @@ class TestSampleKinematics:
         graph2 = generate_skeleton(other, upper, lower)
         designs = [(graph, routing, stiffnesses),
                    (graph2, route_cables(graph2), segment_stiffnesses(other))]
-        stacked = sample_kinematics_stack(designs, AMPLITUDE, FREQUENCY, 32)
+        chains = [(Chain.from_graph(graph, routing), k) for graph, routing, k in designs]
+        stacked = sample_kinematics_stack(chains, AMPLITUDE, FREQUENCY, 32)
         assert len(stacked) == 2
         for design, history in zip(designs, stacked):
             alone = sample_kinematics(*design, AMPLITUDE, FREQUENCY, 32)

@@ -14,8 +14,8 @@ from tailkit.tendon import (
     MAX_BEND_RAD,
     TRAVEL_LIMIT_FRACTION,
     ActuationCommand,
+    Chain,
     TailPose,
-    _Chain,
     _solve_one_cable,
     actuation_waveform,
     bend_antagonistic,
@@ -41,7 +41,6 @@ class TestRouting:
         _, graph, routing, _ = type4_design
         assert len(routing.top_guides) == 6
         assert len(routing.bottom_guides) == 6
-        assert routing.anchor_top == routing.top_guides[-1]
 
     def test_slack_is_straight_polyline_length(self, rig):
         graph, routing = rig
@@ -221,6 +220,42 @@ class TestTwoCableBend:
         assert np.abs(grads @ tensions - torques).max() <= 1e-9 * max(k)
 
 
+class TestCertificate:
+    def test_pinned_pose_is_a_certified_minimum(self, type4_design):
+        _, graph, routing, k = type4_design
+        chain, k = Chain.from_graph(graph, routing), np.asarray(k)
+        target = np.subtract(chain.slack, (0.003, 0.001))
+        theta, lam = tendon._solve_constrained(chain, k, target)
+        assert lam == pytest.approx([-10.83, -5.39], abs=0.01)  # both cables pull
+        tendon._certify_minimum(chain, k, theta, lam)
+        pose = bend_from_cables(graph, routing, ActuationCommand(0.003, 0.001), k)
+        assert np.array(pose.segment_angles).tobytes() == theta.tobytes()
+
+    def test_pushing_cable_refused(self, type4_design):
+        _, graph, routing, k = type4_design
+        chain = Chain.from_graph(graph, routing)
+        with pytest.raises(ComputationError, match=r"needs the bottom cable to push \(0.5 N\)"):
+            tendon._certify_minimum(chain, np.asarray(k), np.zeros(chain.n_seg),
+                                    np.array([-1.0, 0.5]))
+
+
+class TestChainFromSpec:
+    @pytest.mark.parametrize("h1h2", [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (1.0, 8.0)])
+    def test_equals_chain_of_routed_skeleton(self, fitted_curves, h1h2):
+        upper, lower, _ = fitted_curves
+        for n_ribs in range(2, 13):
+            for ratio in (0.2, 1.0, 3.0):
+                spec = SkeletonSpec(n_ribs=n_ribs, h1_h2=h1h2, thickness_ratio=ratio)
+                graph = generate_skeleton(spec, upper, lower)
+                routing = route_cables(graph)
+                direct = Chain.from_spec(spec, upper, lower)
+                routed = Chain.from_graph(graph, routing)
+                for name in ("p", "q", "c", "seg_vec", "spine0"):
+                    assert getattr(direct, name).tobytes() == getattr(routed, name).tobytes()
+                slack = (routing.slack_length_top, routing.slack_length_bottom)
+                assert np.array(direct.slack).tobytes() == np.array(slack).tobytes()
+
+
 class TestBatchedBend:
     @pytest.fixture(scope="class")
     def preset_designs(self, fitted_curves):
@@ -293,7 +328,8 @@ class TestBatchedBend:
         deltas = [actuation_waveform(0.008, 1.5, j / (64 * 1.5)).delta_top for j in range(64)]
         for n_seg in (3, 9):
             stack = [d for d in preset_designs if len(d[2]) == n_seg]
-            angles, midlines = bend_antagonistic_stack(stack, deltas)
+            chains = [(Chain.from_graph(graph, routing), k) for graph, routing, k in stack]
+            angles, midlines = bend_antagonistic_stack(chains, deltas)
             assert angles.shape == (6, 64, n_seg) and midlines.shape == (6, 64, n_seg + 1, 2)
             for design, theta, midline in zip(stack, angles, midlines):
                 alone = bend_antagonistic(*design[:2], deltas, design[2])
@@ -301,17 +337,19 @@ class TestBatchedBend:
                 assert midline.tobytes() == alone[1].tobytes()
 
     def test_stack_checks_every_design(self, rig, preset_designs):
-        graph, routing = rig
+        chain = Chain.from_graph(*rig)
         narrow = make_symmetric_graph(half_span=0.004)
+        graph1, routing1, k1 = preset_designs[1]
         with pytest.raises(ValidationError, match="same joint count"):
-            bend_antagonistic_stack([(graph, routing, UNIFORM_K), preset_designs[1]], [0.001])
+            bend_antagonistic_stack(
+                [(chain, UNIFORM_K), (Chain.from_graph(graph1, routing1), k1)], [0.001])
         with pytest.raises(ValidationError, match="same joint count"):
             bend_antagonistic_stack([], [0.001])
         with pytest.raises(ValidationError, match="stiffnesses"):
-            bend_antagonistic_stack([(graph, routing, UNIFORM_K), (graph, routing, [0.05])], [0.001])
+            bend_antagonistic_stack([(chain, UNIFORM_K), (chain, [0.05])], [0.001])
         with pytest.raises(ComputationError, match="target 0.138 m"):
             bend_antagonistic_stack(
-                [(graph, routing, UNIFORM_K), (narrow, route_cables(narrow), UNIFORM_K)],
+                [(chain, UNIFORM_K), (Chain.from_graph(narrow, route_cables(narrow)), UNIFORM_K)],
                 [0.001, 0.012],
             )
 
@@ -320,7 +358,7 @@ class TestBatchedBend:
         bound = MAX_BEND_RAD - 1e-6
         grid = np.linspace(-bound, bound, 200_001)
         for graph, routing in (rig, (graph4, routing4)):
-            closed_form = _Chain(graph, routing).min_cable_lengths()
+            closed_form = Chain.from_graph(graph, routing).min_cable_lengths()
             _, seg_vec, off_top, off_bot = chain_arrays(graph)
             for closed, off in zip(closed_form, (off_top, off_bot)):
                 # segment i runs from guide i to guide i+1 rotated by theta_i
@@ -468,7 +506,7 @@ class TestSinglePoseOracle:
             routing = route_cables(graph)
             delta = share * TRAVEL_LIMIT_FRACTION * routing.slack_length_top
             target = routing.slack_length_top - delta
-            theta = _solve_one_cable(*_Chain(graph, routing).rows([0]), np.array([k]),
+            theta = _solve_one_cable(*Chain.from_graph(graph, routing).rows([0]), np.array([k]),
                                      np.array([1e-9 * max(k)]), np.array([target]))[0]
             assert np.abs(theta).max() < MAX_BEND_RAD
             assert np.abs(theta - root_kkt_oracle(graph, True, target, k)).max() <= 1e-7
@@ -488,7 +526,8 @@ class TestSinglePoseOracle:
             graph = generate_skeleton(spec, upper, lower)
             designs.append((graph, route_cables(graph), segment_stiffnesses(spec)))
         deltas = [actuation_waveform(0.04, 1.5, j / (64 * 1.5)).delta_top for j in range(64)]
-        stacked, _ = bend_antagonistic_stack(designs, deltas)
+        chains = [(Chain.from_graph(graph, routing), k) for graph, routing, k in designs]
+        stacked, _ = bend_antagonistic_stack(chains, deltas)
         graph, routing, k = designs[0]
         angles, _ = bend_antagonistic(graph, routing, deltas, k)
         for delta, theta in zip(deltas, angles):
