@@ -85,6 +85,8 @@ def _check_output(path: str) -> Path:
     p = Path(path)
     if not p.parent.exists():
         raise ValidationError(f"output directory does not exist: {p.parent}")
+    if p.is_dir():
+        raise ValidationError(f"output path is a directory: {path}")
     return p
 
 
@@ -363,8 +365,8 @@ def build_parser() -> _Parser:
                    help="emit the bundled measured reference records instead of simulating")
     p.add_argument("--out", required=True, help="output report CSV")
     p.add_argument("--jobs", type=int,
-                   help="worker processes (default 1: a design takes about 0.6 ms, "
-                        "so a process pool pays off only from about 100 grid points)")
+                   help="worker processes (default 1: a design takes about 0.3 ms, "
+                        "so a process pool pays off only from about 200 grid points)")
     p.add_argument("--plot-out", help="also write speed/COT scatter CSV here")
     p.add_argument("--json-out", help="also write the lossless JSON report here")
     add_config(p)
@@ -399,6 +401,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as e:
+        print(f"error: an input file is not UTF-8 text ({e})", file=sys.stderr)
         return 1
     except ComputationError as e:
         print(f"computation error: {e}", file=sys.stderr)

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .energetics import DERIVED_MASS_KG, POWER_FIELDS, PowerModel, SwimResult, predict_power
 from .errors import ValidationError
 from .formats import Array, Fields, dump_json, load_json, nullable, number, string, whole
-from .hydro import HYDRO_FIELDS, HydroParams, sample_kinematics_stack, steady_speed_from_history
+from .hydro import HYDRO_FIELDS, HydroParams, sample_kinematics_stack, steady_speeds
 from .profile import (
     PolyCurve,
     excise_dorsal,
@@ -180,12 +179,13 @@ def _evaluate_specs(
     curves: tuple[PolyCurve, PolyCurve],
     mass: float = DERIVED_MASS_KG,
 ) -> list[SwimResult]:
-    """``evaluate_design`` of specs with one rib count, from one stacked
-    kinematics solve; raises what the first failing step raises. Each
-    design's chain comes straight from its spec, without a skeleton graph."""
-    designs = [(Chain.from_spec(spec, *curves), segment_stiffnesses(spec)) for spec in specs]
-    histories = sample_kinematics_stack(designs, amplitude, frequency)
-    speeds = [steady_speed_from_history(history, hydro) for history in histories]
+    """``evaluate_design`` of specs with one rib count, as one stack: one
+    chain for all designs straight from their rib stations, without a
+    skeleton graph, one stacked kinematics solve, and every speed from the
+    stacked midlines; raises whenever a design alone would."""
+    chain = Chain.from_specs(specs, *curves)
+    stiffnesses = [segment_stiffnesses(spec) for spec in specs]
+    speeds = steady_speeds(sample_kinematics_stack(chain, stiffnesses, amplitude, frequency), hydro)
     watts = predict_power(power, amplitude, frequency)
     return [
         SwimResult.from_power(speed=speed, power=watts, mass=mass, body_length=spec.body_length)
@@ -273,6 +273,7 @@ def run_sweep(
         for i in range(0, len(tasks), STACK_SIZE)
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(_evaluate_stack, stacks))
     else:

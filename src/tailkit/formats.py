@@ -42,28 +42,38 @@ def read_numeric_csv(source, header: tuple[str, ...]) -> np.ndarray:
         text = Path(source).read_text(encoding="utf-8")
     if not text:
         raise ValidationError("empty CSV")
-    # universal newlines for file objects too, so line numbers match an editor's
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    got = tuple(h.strip() for h in _fields(lines[0], 1))
+    if "\r" in text:  # universal newlines for file objects too, so line numbers match an editor's
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    first, _, body = text.partition("\n")
+    got = tuple(h.strip() for h in _fields(first, 1))
     if got != header:
         raise ValidationError(f"CSV header must be {','.join(header)}, got {','.join(got)}")
-    rows = [line for line in lines[1:] if line.strip()]
-    if not rows:
-        return np.empty((0, len(header)))
-    try:
-        data = np.loadtxt(rows, delimiter=",", quotechar='"', comments=None, ndmin=2)
-    except ValueError:
-        data = None
+    rows = body.split("\n")
+    n_rows = len(rows) - rows.count("")
+    data = _loadtxt(rows) if n_rows else None
+    if data is None:  # loadtxt skips empty lines but refuses whitespace-only ones
+        rows = [line for line in rows if line.strip()]
+        if not rows:
+            return np.empty((0, len(header)))
+        n_rows, data = len(rows), _loadtxt(rows)
     # fewer rows than lines means a quoted field ran on across a line break;
     # loadtxt closes a quote left open on the last line without complaint
     if (
         data is None
-        or data.shape != (len(rows), len(header))
+        or data.shape != (n_rows, len(header))
         or not np.isfinite(data).all()
-        or rows[-1].count('"') % 2
+        or body.count('"') % 2
     ):
-        _raise_first_bad_line(lines, len(header))
+        _raise_first_bad_line(body.split("\n"), len(header))
     return data
+
+
+def _loadtxt(rows: list[str]) -> np.ndarray | None:
+    """``np.loadtxt`` of CSV lines, or None where it refuses them."""
+    try:
+        return np.loadtxt(rows, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError:
+        return None
 
 
 def _fields(line: str, lineno: int) -> list[str]:
@@ -82,9 +92,9 @@ def _number(field: str) -> float:
 
 
 def _raise_first_bad_line(lines: list[str], width: int):
-    """Name the first data line that ``read_numeric_csv`` refuses; only its
-    error path runs this scan."""
-    for lineno, line in enumerate(lines[1:], start=2):
+    """Name the first of the data ``lines`` (line 2 on) that
+    ``read_numeric_csv`` refuses; only its error path runs this scan."""
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         if line.count('"') % 2:  # the open quote runs on into the next line

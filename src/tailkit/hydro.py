@@ -15,9 +15,12 @@ U = sqrt(A / (B + D)), and the drag coefficient that hits a measured
 speed follows just as directly.
 
 The kinematics come from one batched bend solve over all actuation
-phases (``tendon.bend_antagonistic``) as a (phases, stations, 2) array;
+phases (``tendon.bend_antagonistic``) as a (phases, stations, 2) array.
 ``sample_kinematics_stack`` solves the phases of several designs with the
-same joint count in one call, as a sweep does.
+same joint count in one call, from their stacked ``tendon.Chain``, as a
+sweep does; its history carries a leading design axis, and
+``steady_speeds`` takes every design's thrust coefficients and speed from
+it in one pass.
 
 This is a desk-scale surrogate, not a flow solver: absolute speeds are
 meaningful only after calibrating the drag coefficient against a
@@ -76,7 +79,8 @@ HYDRO_FIELDS = Fields(
 @dataclass(frozen=True, eq=False)
 class MidlineHistory:
     """Midline snapshots over one actuation period, uniform time grid: float
-    arrays ``times`` (n,) and ``midlines`` (n, stations, 2); sequences are converted."""
+    arrays ``times`` (n,) and ``midlines`` (n, stations, 2), or (designs, n,
+    stations, 2) for a stack of designs; sequences are converted."""
 
     times: np.ndarray
     midlines: np.ndarray
@@ -88,13 +92,13 @@ class MidlineHistory:
             midlines = np.asarray(self.midlines, dtype=float)
         except ValueError:  # numpy refuses ragged nesting
             raise ValidationError("all midlines must share the same stations") from None
-        if times.shape != midlines.shape[:1]:
+        if midlines.ndim < 3 or midlines.shape[-1] != 2:
+            raise ValidationError("midline points must be (x, y) pairs")
+        if times.shape != midlines.shape[-3:-2]:
             raise ValidationError("one midline per time sample required")
         if len(times) < 2:
             raise ValidationError("history needs at least 2 samples")
-        if midlines.ndim != 3 or midlines.shape[2] != 2:
-            raise ValidationError("midline points must be (x, y) pairs")
-        if midlines.shape[1] < 2:
+        if midlines.shape[-2] < 2:
             raise ValidationError("midlines need at least 2 stations")
         if not (np.isfinite(times).all() and np.isfinite(midlines).all()):
             raise ValidationError("times and midlines must be finite")
@@ -118,55 +122,54 @@ def sample_kinematics(
     n_samples: int = DEFAULT_N_SAMPLES,
 ) -> MidlineHistory:
     """Solve the bend pose at uniform phases over one actuation period."""
-    (history,) = sample_kinematics_stack(
-        [(Chain.from_graph(graph, routing), stiffnesses)], amplitude, frequency, n_samples
+    return sample_kinematics_stack(
+        Chain.from_graph(graph, routing), stiffnesses, amplitude, frequency, n_samples
     )
-    return history
 
 
 def sample_kinematics_stack(
-    designs,
+    chain: Chain,
+    stiffnesses,
     amplitude: float,
     frequency: float,
     n_samples: int = DEFAULT_N_SAMPLES,
-) -> list[MidlineHistory]:
-    """``sample_kinematics`` of several (``tendon.Chain``, stiffnesses)
-    designs with the same joint count: the phase grid and its commands are built
-    once, and all poses come from one stacked bend solve
-    (``tendon.bend_antagonistic_stack``). Each history equals that of the
-    design alone."""
+) -> MidlineHistory:
+    """``sample_kinematics`` of each design of a stacked ``tendon.Chain``, with
+    stiffnesses (designs, n_seg), from one stacked bend solve
+    (``tendon.bend_antagonistic_stack``); design i's midlines in the one
+    history equal, bit for bit, those of its history alone."""
     if n_samples < 16:
         raise ValidationError("need at least 16 samples per period")
     check_actuation(amplitude, frequency)
     period = 1.0 / frequency
     times = np.array([period * j / n_samples for j in range(n_samples)])
     deltas = [waveform_delta(amplitude, frequency, t) for t in times.tolist()]
-    _, midlines = bend_antagonistic_stack(designs, deltas)
-    return [MidlineHistory(times=times, midlines=m, period=period) for m in midlines]
+    _, midlines = bend_antagonistic_stack(chain, stiffnesses, deltas)
+    return MidlineHistory(times=times, midlines=midlines, period=period)
 
 
 def _trailing_edge_series(history: MidlineHistory) -> tuple[np.ndarray, np.ndarray]:
     """Trailing-edge lateral velocity and midline slope per time sample."""
     x, y = history.midlines[..., 0], history.midlines[..., 1]
-    if len(y) < 3:
+    if len(history.times) < 3:
         raise ValidationError("need at least 3 time samples for finite differences")
     dt = history.times[1] - history.times[0]
-    tip = y[:, -1]
+    tip = y[..., -1]
     periodic = abs((history.times[-1] - history.times[0]) + dt - history.period) < 1e-9
     if periodic:  # central differences that wrap around the period
-        wrapped = np.concatenate((tip[-1:], tip, tip[:1]))
-        hdot = (wrapped[2:] - wrapped[:-2]) / (2.0 * dt)
+        wrapped = np.concatenate((tip[..., -1:], tip, tip[..., :1]), axis=-1)
+        hdot = (wrapped[..., 2:] - wrapped[..., :-2]) / (2.0 * dt)
     else:
-        hdot = np.gradient(tip, dt)
-    hx = (y[:, -1] - y[:, -2]) / (x[:, -1] - x[:, -2])
+        hdot = np.gradient(tip, dt, axis=-1)
+    hx = (y[..., -1] - y[..., -2]) / (x[..., -1] - x[..., -2])
     return hdot, hx
 
 
-def _thrust_coefficients(history: MidlineHistory, params: HydroParams) -> tuple[float, float]:
-    """A and B of the mean thrust A - B*U**2."""
+def _thrust_coefficients(history: MidlineHistory, params: HydroParams):
+    """A and B of the mean thrust A - B*U**2: floats, or lists for a stack."""
     hdot, hx = _trailing_edge_series(history)
     m_a = params.rho * math.pi * params.tip_span**2 / 4.0 * params.added_mass_coeff
-    return float(0.5 * m_a * np.mean(hdot**2)), float(0.5 * m_a * np.mean(hx**2))
+    return tuple((0.5 * m_a * np.mean(v**2, axis=-1)).tolist() for v in (hdot, hx))
 
 
 def mean_thrust(history: MidlineHistory, speed: float, params: HydroParams) -> float:
@@ -190,7 +193,16 @@ def drag_force(speed: float, params: HydroParams) -> float:
 
 def steady_speed_from_history(history: MidlineHistory, params: HydroParams) -> float:
     """Speed where thrust A - B*U**2 meets drag D*U**2: sqrt(A / (B + D))."""
-    a, b = _thrust_coefficients(history, params)
+    return _balance_speed(*_thrust_coefficients(history, params), params)
+
+
+def steady_speeds(history: MidlineHistory, params: HydroParams) -> list[float]:
+    """``steady_speed_from_history`` of each design of a stacked history
+    (``sample_kinematics_stack``), with its checks applied to each."""
+    return [_balance_speed(a, b, params) for a, b in zip(*_thrust_coefficients(history, params))]
+
+
+def _balance_speed(a: float, b: float, params: HydroParams) -> float:
     if a <= 0.0:
         return 0.0
     u_star = math.sqrt(a / (b + drag_force(1.0, params)))
@@ -234,8 +246,9 @@ def calibrate(
     At the target U*, drag must equal the thrust A - B*U*^2 left over, so
     Cd = 2 * (A - B*U*^2) / (rho * frontal_area * U*^2) in closed form.
     """
-    if not (math.isfinite(target_speed) and target_speed > 0):
-        raise ValidationError("calibration target speed must be finite and positive")
+    if not (target_speed > 0 and 0 < target_speed * target_speed < math.inf):
+        raise ValidationError("calibration target speed must be positive, with a finite "
+                              "nonzero square")
     history = sample_kinematics(graph, routing, stiffnesses, amplitude, frequency, n_samples)
 
     a, b = _thrust_coefficients(history, params)

@@ -315,13 +315,17 @@ def fit_polynomial(
 def eval_profile(curve: PolyCurve, x):
     """Evaluate the curve at normalized chord position(s) x in [0, 1]."""
     arr = np.asarray(x, dtype=float)
+    points = arr.ravel().tolist()
     lo, hi = curve.domain
-    if np.any(arr < lo) or np.any(arr > hi):
+    if any(t < lo or t > hi for t in points):
         raise ValidationError(f"evaluation point outside the curve domain [{lo}, {hi}]")
-    # Horner's rule in the operation order of numpy's polyval, without its
-    # per-call array set-up; the result is the same bit for bit
-    coeffs = curve.coefficients
-    val = coeffs[-1] + arr * 0
-    for c in coeffs[-2::-1]:
-        val = c + val * arr
-    return float(val) if np.isscalar(x) or arr.ndim == 0 else val
+    # Horner's rule on Python floats, in the operation order of numpy's
+    # polyval: the same bits, without a numpy call per coefficient
+    last, *rest = curve.coefficients[::-1]
+    vals = []
+    for t in points:
+        val = last + t * 0
+        for c in rest:
+            val = c + val * t
+        vals.append(val)
+    return vals[0] if np.isscalar(x) or arr.ndim == 0 else np.reshape(vals, arr.shape)

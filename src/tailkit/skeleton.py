@@ -150,31 +150,33 @@ def spine_segment_thicknesses(spec: SkeletonSpec) -> list[float]:
     return rib_thicknesses(spec)[:-1]
 
 
-def rib_stations(spec: SkeletonSpec, upper: PolyCurve, lower: PolyCurve) -> tuple[np.ndarray, ...]:
-    """Each rib's x, y_top, y_spine and y_bottom in meters, head to tail.
+def rib_stations(specs, upper: PolyCurve, lower: PolyCurve) -> tuple[np.ndarray, ...]:
+    """Each rib's x, y_top, y_spine and y_bottom in meters, head to tail, for
+    specs of one rib count: (designs, n_ribs) arrays, row i from specs[i].
 
     Ribs sit at uniform stations from the head boundary to the tip margin;
-    the curves are unit-chord shapes, so all geometry scales by
-    spec.body_length.
+    the curves are unit-chord shapes, so all geometry scales by the body
+    length. Specs with the same body length and head fraction share their
+    stations, so each curve is evaluated once per such pair.
     """
-    length = spec.body_length
-    head_x = spec.head_fraction * length
-    tip_x = length * (1.0 - TIP_MARGIN_FRACTION)
-    if head_x >= tip_x:
-        raise ValidationError("head region reaches past the last usable profile station")
-    stations = np.linspace(head_x, tip_x, spec.n_ribs)
-    x_norm = stations / length
-    y_top = np.asarray(eval_profile(upper, x_norm)) * length
-    y_bot = np.asarray(eval_profile(lower, x_norm)) * length
-    spans = y_top - y_bot
-    if np.any(spans <= 0):
-        bad = stations[spans <= 0][0]
-        raise ValidationError(f"rib span is not positive at x={bad:.4f}")
-    h1, h2 = spec.h1_h2
-    y_spine = y_bot + (h2 / (h1 + h2)) * spans
+    keys = [(spec.body_length, spec.head_fraction, spec.n_ribs) for spec in specs]
+    shared = {}
+    for length, head_fraction, n_ribs in dict.fromkeys(keys):
+        head_x, tip_x = head_fraction * length, length * (1.0 - TIP_MARGIN_FRACTION)
+        if head_x >= tip_x:
+            raise ValidationError("head region reaches past the last usable profile station")
+        stations = np.linspace(head_x, tip_x, n_ribs)
+        y_top, y_bot = (eval_profile(curve, stations / length) * length for curve in (upper, lower))
+        spans = y_top - y_bot
+        if np.any(spans <= 0):
+            raise ValidationError(f"rib span is not positive at x={stations[spans <= 0][0]:.4f}")
+        shared[length, head_fraction, n_ribs] = stations, y_top, y_bot
+    x, y_top, y_bot = (np.array(rows) for rows in zip(*map(shared.get, keys)))
+    share = np.array([[spec.h2 / (spec.h1 + spec.h2)] for spec in specs])
+    y_spine = y_bot + share * (y_top - y_bot)
     if np.any(y_spine > y_top):  # h1 ~1e-17 of h2 or less, rounded
         raise ValidationError("rib requires y_bottom <= y_spine <= y_top")
-    return stations, y_top, y_spine, y_bot
+    return x, y_top, y_spine, y_bot
 
 
 def generate_skeleton(spec: SkeletonSpec, upper: PolyCurve, lower: PolyCurve) -> SkeletonGraph:
@@ -186,7 +188,8 @@ def generate_skeleton(spec: SkeletonSpec, upper: PolyCurve, lower: PolyCurve) ->
     nodes; strings chain the top guides and the bottom guides (the two
     cable paths).
     """
-    ribs_at = zip(*(a.tolist() for a in rib_stations(spec, upper, lower)), rib_thicknesses(spec))
+    stations = rib_stations([spec], upper, lower)
+    ribs_at = zip(*(a[0].tolist() for a in stations), rib_thicknesses(spec))
     nodes: list[Node] = []
     ribs: list[Rib] = []
     bars: list[tuple[int, int]] = []

@@ -13,16 +13,17 @@ The solve is quasi-static (no tail inertia) and exploits that the
 polyline length decomposes into per-joint terms: the cable segment
 between guides i and i+1 has length |R(theta_i) a_i - b_i| with a_i, b_i
 fixed by the straight-pose geometry (``Chain``, from a routed graph or
-straight from a spec's rib stations), so lengths, their derivatives and
-the geometric shortening limit are closed-form. A pose with one taut
+straight from the rib stations of specs), so lengths, their derivatives
+and the geometric shortening limit are closed-form. A pose with one taut
 cable, whether a single command (``bend_from_cables``) or a run of
 antagonistic ones solved together, as over a swimming period
 (``bend_antagonistic``), comes from a bordered Newton iteration that
 costs O(n_seg) per step; a batch stays as angle and midline arrays. Rows
-of that iteration never mix, so a sweep stacks the phases of several
-designs with the same joint count into one solve
-(``bend_antagonistic_stack``), each getting the bits it gets alone; a
-row Newton fails on is solved again under load continuation. Only a
+of that iteration never mix, so a sweep builds one chain for several
+designs with the same joint count, its arrays carrying a design axis, and
+solves all their phases at once (``bend_antagonistic_stack``), each
+getting the bits it gets alone; a row Newton fails on is solved again
+under load continuation. Only a
 command that shortens both cables needs a general root find with load
 continuation, the only use of scipy, imported on that path alone; its
 pose is refused unless it is certified a constrained minimum.
@@ -198,30 +199,32 @@ def _midlines(theta: np.ndarray, seg_vec: np.ndarray, origin: np.ndarray) -> np.
 
 
 class Chain:
-    """Straight-pose geometry of one design's joint chain, precomputed.
+    """Straight-pose geometry of one design's joint chain, or of a stack's.
 
     Built from each rib's station ``x`` and heights ``y_top``, ``y_spine``
-    and ``y_bottom`` (float arrays, head to tail), with the two cables'
-    slack lengths. Cable segment i joins guide i to guide i+1 and has length
-    |R(theta_i) a_i - b_i| with a_i, b_i fixed by the straight pose, so
+    and ``y_bottom`` (float arrays, head to tail; (designs, n_ribs) for a
+    stack), with the two cables' slack lengths. Cable segment i joins guide
+    i to guide i+1 and has length |R(theta_i) a_i - b_i| with a_i, b_i fixed
+    by the straight pose, so
 
         l_i**2 = C_i - 2 * (p_i * cos(theta_i) + q_i * sin(theta_i)),
 
     with p = a . b and q = a x b. Row 0 of ``p``, ``q`` and ``c`` belongs
-    to the top cable, row 1 to the bottom one, as in ``slack``.
+    to the top cable, row 1 to the bottom one, as in ``slack``; a stack's
+    designs follow on the next axis.
     """
 
-    def __init__(self, x, y_top, y_spine, y_bottom, slack_top: float, slack_bottom: float):
-        self.slack = (slack_top, slack_bottom)
-        self.spine0 = np.array([x, y_spine]).T  # (n_ribs, 2)
-        self.seg_vec = self.spine0[1:] - self.spine0[:-1]  # (n_seg, 2)
-        self.n_seg = len(self.seg_vec)
+    def __init__(self, x, y_top, y_spine, y_bottom, slack_top, slack_bottom):
+        self.slack = np.array([slack_top, slack_bottom])
+        self.spine0 = np.array([x.T, y_spine.T]).T  # (..., n_ribs, 2)
+        self.seg_vec = self.spine0[..., 1:, :] - self.spine0[..., :-1, :]  # (..., n_seg, 2)
+        self.n_seg = self.seg_vec.shape[-2]
         # guides sit straight above/below their spine point: b_i = (0, off_i),
         # a_i = seg_vec_i + (0, off_i+1)
         off = np.array([y_top, y_bottom]) - y_spine
-        ax = self.seg_vec[:, 0]
-        ay = self.seg_vec[:, 1] + off[:, 1:]
-        by = off[:, :-1]
+        ax = self.seg_vec[..., 0]
+        ay = self.seg_vec[..., 1] + off[..., 1:]
+        by = off[..., :-1]
         self.p = ay * by
         self.q = ax * by
         self.c = ax**2 + ay**2 + by**2
@@ -238,12 +241,14 @@ class Chain:
         return cls(*np.array(rows), routing.slack_length_top, routing.slack_length_bottom)
 
     @classmethod
-    def from_spec(cls, spec: SkeletonSpec, upper: PolyCurve, lower: PolyCurve) -> "Chain":
-        """The chain of ``generate_skeleton(spec, upper, lower)`` routed by
-        ``route_cables``, bit for bit, straight from the rib stations."""
-        x, y_top, y_spine, y_bottom = rib_stations(spec, upper, lower)
-        return cls(x, y_top, y_spine, y_bottom,
-                   *(_polyline_length(x.tolist(), y.tolist()) for y in (y_top, y_bottom)))
+    def from_specs(cls, specs, upper: PolyCurve, lower: PolyCurve) -> "Chain":
+        """The chains of specs of one rib count, stacked: design i is, bit for
+        bit, the chain of ``generate_skeleton(specs[i], upper, lower)`` routed
+        by ``route_cables``, straight from the rib stations."""
+        x, y_top, y_spine, y_bottom = rib_stations(specs, upper, lower)
+        slack = ([_polyline_length(*xy) for xy in zip(x.tolist(), y.tolist())]
+                 for y in (y_top, y_bottom))
+        return cls(x, y_top, y_spine, y_bottom, *slack)
 
     def rows(self, cable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``p``, ``q`` and ``c`` of cable row ``cable`` (0 top, 1 bottom), or
@@ -268,7 +273,7 @@ class Chain:
         """
         bound = MAX_BEND_RAD - 1e-6
         theta = np.clip(np.arctan2(self.q, self.p), -bound, bound)
-        return np.sum(self.segment_lengths(theta, np.arange(2))[0], axis=1)
+        return np.sum(_segment_terms(self.p, self.q, self.c, theta)[0], axis=-1)
 
     def pose(self, theta: np.ndarray) -> TailPose:
         """The pose of one row of joint angles ``theta`` (n_seg,)."""
@@ -278,9 +283,9 @@ class Chain:
 
 def _check_stiffnesses(chain: Chain, stiffnesses) -> np.ndarray:
     k = np.asarray(stiffnesses, dtype=float)
-    if k.shape != (chain.n_seg,):
+    if k.shape != chain.slack.shape[1:] + (chain.n_seg,):
         raise ValidationError(
-            f"expected {chain.n_seg} segment stiffnesses, got {len(k)}"
+            f"expected {chain.n_seg} segment stiffnesses, got {k.shape[-1] if k.ndim else 1}"
         )
     if np.any(k <= 0):
         raise ValidationError("segment stiffnesses must be positive")
@@ -288,7 +293,9 @@ def _check_stiffnesses(chain: Chain, stiffnesses) -> np.ndarray:
 
 
 def _check_travel(chain: Chain, delta_top: float, delta_bottom: float) -> None:
-    for name, delta, slack in zip(("top", "bottom"), (delta_top, delta_bottom), chain.slack):
+    # the design with the least slack of a cable passes its limit first
+    least = chain.slack.reshape(2, -1).min(axis=1).tolist()
+    for name, delta, slack in zip(("top", "bottom"), (delta_top, delta_bottom), least):
         if abs(delta) > TRAVEL_LIMIT_FRACTION * slack + 1e-15:
             raise ValidationError(
                 f"delta_{name} {delta:.4g} m exceeds the motor travel limit "
@@ -397,10 +404,10 @@ def _newton(p, q, c, k, stat_tol, target, theta, lam) -> tuple[np.ndarray, np.nd
             break
         diag = k - lam[:, None] * d2
         w = d1 / diag
-        dlam = (np.sum(w * r, axis=1) - g) / np.sum(w * d1, axis=1)
+        dlam = ((w * r).sum(axis=1) - g) / (w * d1).sum(axis=1)
         dtheta = (dlam[:, None] * d1 - r) / diag
-        theta[active] += dtheta[active]
-        lam[active] += dlam[active]
+        np.add(theta, dtheta, out=theta, where=active[:, None])
+        np.add(lam, dlam, out=lam, where=active)
     return active, g
 
 
@@ -492,49 +499,42 @@ def bend_antagonistic(
     and midlines (n, n_seg + 1, 2), all solved together; row j is the pose
     ``bend_from_cables`` returns for command j, to solver tolerance.
     """
-    angles, midlines = bend_antagonistic_stack([(Chain.from_graph(graph, routing), stiffnesses)],
-                                               deltas)
-    return angles[0], midlines[0]
+    return bend_antagonistic_stack(Chain.from_graph(graph, routing), stiffnesses, deltas)
 
 
 def bend_antagonistic_stack(
-    designs, deltas: list[float] | tuple[float, ...] | np.ndarray
+    chain: Chain, stiffnesses, deltas: list[float] | tuple[float, ...] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``bend_antagonistic`` for several designs under the same commands.
+    """``bend_antagonistic`` for each design of a stacked ``chain`` under the
+    same commands, with ``stiffnesses`` (designs, n_seg).
 
-    ``designs`` holds (chain, stiffnesses) pairs whose chains share one
-    joint count. Every design gets the checks of the one-design
-    call, with its messages; then the taut phases of all of them go
-    through one Newton solve. Returns angles (designs, n, n_seg) and
-    midlines (designs, n, n_seg + 1, 2); entry i equals, bit for bit, what
-    ``bend_antagonistic`` returns for design i alone.
+    Each check of the one-design call runs once over the stack, which raises
+    whenever a design alone would; then all taut phases go through one
+    Newton solve. Returns angles (designs, n, n_seg) and midlines (designs,
+    n, n_seg + 1, 2), with no designs axis for a graph's chain; entry i
+    equals, bit for bit, what ``bend_antagonistic`` returns for design i alone.
     """
-    chains = [chain for chain, _ in designs]
-    ks = [_check_stiffnesses(chain, stiffnesses) for chain, stiffnesses in designs]
-    if len({chain.n_seg for chain in chains}) != 1:
-        raise ValidationError("a stack needs one or more designs with the same joint count")
+    k = _check_stiffnesses(chain, stiffnesses)
     d = np.asarray(deltas, dtype=float)
     if d.ndim != 1 or not np.all(np.isfinite(d)):
         raise ValidationError("antagonistic deltas must be a sequence of finite numbers")
     if d.size:
         worst = float(d[np.argmax(np.abs(d))])
-        for chain in chains:
-            _check_travel(chain, worst, -worst)
+        _check_travel(chain, worst, -worst)
 
-    theta = np.zeros((len(chains), d.size, chains[0].n_seg))
+    n = chain.n_seg
+    theta = np.zeros(k.shape[:-1] + (d.size, n))
     taut = d != 0.0
     if taut.any():
         cable = np.where(d[taut] > 0, 0, 1)
-        target = np.array([c.slack for c in chains])[:, cable] - np.abs(d[taut])  # (designs, taut)
-        feasible_min = np.array([chain.min_cable_lengths() for chain in chains])[:, cable]
-        rows = [np.concatenate(r) for r in zip(*(chain.rows(cable) for chain in chains))]
-        k, k_max = np.repeat(ks, cable.size, axis=0), np.repeat(np.max(ks, axis=1), cable.size)
-        solved = _solve_taut(feasible_min, rows, k, k_max, target)
-        theta[:, taut] = solved.reshape(len(chains), cable.size, -1)
-
-    seg_vec = np.array([chain.seg_vec for chain in chains])
-    origin = np.array([chain.spine0[0] for chain in chains])
-    return theta, _midlines(theta, seg_vec[:, None], origin[:, None])
+        # the rows of chain.rows(cable), and so all below, are phase-major
+        target = (chain.slack[cable].T - np.abs(d[taut])).T  # (taut phases, designs)
+        rows = [r.reshape(-1, n) for r in chain.rows(cable)]
+        k_rows = np.repeat(k[None], cable.size, axis=0).reshape(-1, n)
+        k_max = np.repeat(k.max(axis=-1)[None], cable.size, axis=0).ravel()
+        solved = _solve_taut(chain.min_cable_lengths()[cable], rows, k_rows, k_max, target)
+        theta[..., taut, :] = solved.reshape(target.shape + (n,)).swapaxes(0, -2)
+    return theta, _midlines(theta, chain.seg_vec[..., None, :, :], chain.spine0[..., None, 0, :])
 
 
 def cable_lengths(

@@ -1,11 +1,17 @@
+import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tailkit
 from tailkit import explorer
@@ -277,7 +283,7 @@ class TestSweepAndPareto:
         def no_pool(*args, **kwargs):
             raise AssertionError("a default sweep must not start a process pool")
 
-        monkeypatch.setattr(explorer, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({
             "h1_h2_values": [[1, 2]], "thickness_ratios": [1, 2], "n_ribs_values": [4],
@@ -483,6 +489,18 @@ class TestCliBehavior:
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["skeleton", "--bogus", "x", "--out", "y.json"]) == 1
 
+    def test_output_path_that_is_a_directory_exits_1(self, tmp_path, capsys):
+        assert main(["skeleton", "--preset", "type4", "--out", str(tmp_path)]) == 1
+        assert "output path is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_input_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        skel = tmp_path / "skel.json"
+        skel.write_bytes(b"\xff\xfe{}")
+        assert main(["export", "--skeleton", str(skel), "--svg", str(tmp_path / "s.svg")]) == 1
+        assert "not UTF-8 text" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["skel.json"]
+
     @pytest.mark.parametrize(
         "command",
         ["fit", "skeleton", "bend", "swim", "sweep", "pareto", "export", "analyze"],
@@ -632,3 +650,152 @@ class TestImportFootprint:
         assert "scipy.optimize" in result["loaded"][8]
         pose = json.loads((tmp_path / "two.json").read_text())
         assert len(pose["segment_angles_rad"]) == 5
+
+    def test_process_pool_loads_only_for_jobs_above_one(self, tmp_path):
+        """``import tailkit.cli`` and a ``--jobs 1`` sweep load neither
+        multiprocessing nor the process pool, in a fresh interpreter."""
+        (tmp_path / "grid.json").write_text('{"n_ribs_values": [4]}')
+        script = textwrap.dedent(f"""
+            import json, os, sys
+            import tailkit.cli
+
+            def pool_modules():
+                return sorted(m for m in sys.modules if m.partition(".")[0] == "multiprocessing"
+                              or m == "concurrent.futures.process")
+
+            os.chdir({str(tmp_path)!r})
+            loaded = [pool_modules()]
+            code = tailkit.cli.main(["sweep", "--grid", "grid.json", "--jobs", "1",
+                                     "--out", "report.csv"])
+            print(json.dumps({{"code": code, "loaded": loaded + [pool_modules()]}}))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(tailkit.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "loaded": [[], []]}
+
+
+_NUMBERS = ["0", "-1", "1", "0.5", "0.003", "-0.003", "0.04", "1e-300", "1e300", "nan", "inf",
+            "-inf", "x", "", "1_0"]
+_DELTAS = ["0", "0.003", "-0.003", "0.001", "0.006", "-0.006", "0.04", "1", "nan", "inf", "x"]
+_COUNTS = ["-1", "0", "1", "2", "4", "16", "17", "1.5", "nan", "x", ""]
+_PAIRS = ["1:2", "1:1", "0:1", "-1:2", "nan:1", "1e-20:1", "1", "a:b", "1:2:3", "", "0.2:0.1",
+          "0.1:0.2", "none"]
+# Text documents per input kind: a valid one first, then broken ones; every
+# input flag may also get an empty file, a non-UTF-8 file, a directory or a
+# missing path. None stands for a file that tailkit itself wrote.
+_DOCUMENTS = {
+    "profile": [reference_profile_path().read_text(), "x_m,y_upper_m,y_lower_m\n0,1,2\n",
+                "a,b\n1,2\n"],
+    "skeleton": [None, "{}", '{"nodes": []}'],
+    "grid": ['{"n_ribs_values": [4], "h1_h2_values": [[1, 2]], "thickness_ratios": [1]}',
+             '{"n_ribs_values": [2, 3], "thickness_ratios": [1e300]}', "[1, 2]",
+             '{"thickness_ratios": [NaN]}'],
+    "curves": [None, '{"upper": 1}', "{}"],
+    "hydro": ['{"rho_kg_m3": 1000.0}', '{"rho_kg_m3": -1}', '{"rho": 1}'],
+    "records": [None, "label,h1\nx,1\n", ""],
+    "power": ["t_s,voltage_v,current_a\n0,3.7,2.5\n1,3.7,2.5\n", "t_s,voltage_v,current_a\n0,3.7\n",
+              "t_s,voltage_v,current_a\n1,3.7,2.5\n0,3.7,2.5\n"],
+    "track": ["t_s,x_m\n0,0\n1,0.16\n", "t_s,x_m\n0,0\n", "t_s,x_m\n0,0\n1,-0.1\n"],
+    "config": ["n_ribs = 4\nk_ref = 0.05\njobs = 1\n", "degree = 5\nexcise = none\n",
+               "mass_kg = 2\namplitude_m = 0.003\n", "just words\n", "n_ribs = x\n",
+               "n_samples = 8\n", "frequency_hz = nan\n", "jobs = 0\n"],
+}
+# Each subcommand's flags: (the pool its values come from, a value that works
+# or None for an input kind's valid document or a fresh output path, whether
+# it is required). A flag is given or left out at random, a required one
+# more often, and half its values are the working one.
+_COMMANDS = {
+    "fit": {"--profile": ("profile", None, True), "--degree": (_COUNTS, "8", False),
+            "--excise": (_PAIRS, "none", False), "--fill": (_COUNTS, "20", False),
+            "--out": ("out", None, True), "--config": ("config", None, False)},
+    "skeleton": {"--preset": (["type1", "type7", "", "TYPE1"], "type4", False),
+                 "--h1h2": (_PAIRS, "1:2", False), "--thickness-ratio": (_NUMBERS, "2", False),
+                 "--ribs": (_COUNTS, "5", False), "--body-length": (_NUMBERS, "0.3", False),
+                 "--head-fraction": (_NUMBERS, "0.33", False),
+                 "--thickness-first": (_NUMBERS, "3", False), "--curves": ("curves", None, False),
+                 "--out": ("out", None, True), "--config": ("config", None, False)},
+    "bend": {"--skeleton": ("skeleton", None, True), "--delta-top": (_DELTAS, "0.003", True),
+             "--delta-bottom": (_DELTAS, "-0.003", True), "--k-ref": (_NUMBERS, "0.05", False),
+             "--out": ("out", None, True), "--config": ("config", None, False)},
+    "swim": {"--skeleton": ("skeleton", None, True), "--amplitude": (_DELTAS, "0.008", False),
+             "--freq": (_NUMBERS, "1.5", False), "--calibrate-speed": (_NUMBERS, "0.15", False),
+             "--mass": (_NUMBERS, "2", False), "--body-length": (_NUMBERS, "0.33", False),
+             "--hydro": ("hydro", None, False), "--k-ref": (_NUMBERS, "0.05", False),
+             "--samples": (_COUNTS, "32", False), "--config": ("config", None, False)},
+    "sweep": {"--grid": ("grid", None, False), "--reference": (None, None, False),
+              "--out": ("out", None, True), "--jobs": (["-1", "0", "x"], "1", False),
+              "--plot-out": ("out", None, False), "--json-out": ("out", None, False),
+              "--config": ("config", None, False)},
+    "pareto": {"--records": ("records", None, True), "--out": ("out", None, True),
+               "--config": ("config", None, False)},
+    "export": {"--skeleton": ("skeleton", None, True), "--svg": ("out", None, True),
+               "--config": ("config", None, False)},
+    "analyze": {"--power-log": ("power", None, True), "--track": ("track", None, True),
+                "--mass": (_NUMBERS, "2", False), "--config": ("config", None, False)},
+}
+
+
+class TestArgvFuzz:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """Paths of every input document, by kind; the valid one first."""
+        base = tmp_path_factory.mktemp("fuzz_inputs")
+        made = {}
+        for name, argv in (("skeleton", ["skeleton", "--preset", "type4"]),
+                           ("curves", ["fit", "--profile", str(reference_profile_path())])):
+            made[name] = base / f"made_{name}.json"
+            assert main(argv + ["--out", str(made[name])]) == 0
+        made["records"] = base / "made_records.csv"
+        assert main(["sweep", "--reference", "--out", str(made["records"])]) == 0
+        (base / "garbage.bin").write_bytes(b"\xff\xfe\x00broken")
+        (base / "empty").write_text("")
+        paths = {}
+        for kind, docs in _DOCUMENTS.items():
+            paths[kind] = []
+            for j, doc in enumerate(docs):
+                paths[kind].append(str(made[kind]) if doc is None else str(base / f"{kind}_{j}"))
+                if doc is not None:
+                    Path(paths[kind][-1]).write_text(doc)
+            paths[kind] += [str(base / "garbage.bin"), str(base / "empty"), str(base),
+                            str(base / "missing.txt")]
+        return paths
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_no_traceback_no_partial_file(self, inputs, tmp_path, command, data):
+        """Any argv: exit code 0, 1 or 2, no traceback, and a failed run
+        leaves no file behind."""
+        out_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+        argv = [command]
+        for flag, (pool, good, required) in _COMMANDS[command].items():
+            given = [True] * 4 + [False] if required else [True, False, False]
+            if not data.draw(st.sampled_from(given), label=flag):
+                continue
+            if pool is None:
+                argv.append(flag)
+                continue
+            if pool == "out":
+                pool = [str(out_dir), str(out_dir / "no_dir" / "x"), ""]
+                good = str(out_dir / flag.strip("-"))
+            elif isinstance(pool, str):
+                pool, good = inputs[pool], inputs[pool][0]
+            value = data.draw(st.one_of(st.just(good), st.sampled_from(pool)), label=flag)
+            argv += [flag, value] if not value.startswith("-") else [f"{flag}={value}"]
+        argv += data.draw(st.sampled_from([[]] * 6 + [["--bogus"], ["stray"]]))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        except (Exception, SystemExit) as e:  # a traceback, or argparse's exit
+            pytest.fail(f"{argv} raised {type(e).__name__}: {e}")
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in stderr.getvalue()
+        left = sorted(p.name for p in out_dir.iterdir())
+        if code != 0:
+            assert left == [], (argv, left)  # nothing written, not even a temp file
+        else:
+            assert not [name for name in left if name.endswith(".tmp")], argv

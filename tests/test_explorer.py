@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import random
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -305,6 +308,81 @@ class TestSweep:
         )
         assert result.speed > 0
         assert result.mass == DERIVED_MASS_KG
+
+
+class TestStackedEvaluation:
+    """A stack of designs of one rib count gives each design the result it
+    gets alone, bit for bit, and raises exactly when one of them alone does."""
+
+    @staticmethod
+    def outcomes(specs, amplitude, curves):
+        """The stack's results (or None if it raised) and each design's alone
+        (a result, or the exception it raised)."""
+        args = (amplitude, 1.5, HydroParams(), PowerModel(), curves)
+        alone = []
+        for spec in specs:
+            try:
+                alone.append(explorer._evaluate_specs([spec], *args)[0])
+            except Exception as e:
+                alone.append(e)
+        try:
+            stacked = explorer._evaluate_specs(specs, *args)
+        except Exception:
+            stacked = None
+        return stacked, alone
+
+    def assert_stack_agrees(self, specs, amplitude, curves):
+        stacked, alone = self.outcomes(specs, amplitude, curves)
+        failures = [a for a in alone if isinstance(a, Exception)]
+        if stacked is None:
+            assert failures
+        else:
+            assert not failures
+            assert len(stacked) == len(specs)
+            for got, want in zip(stacked, alone):
+                assert np.array(astuple(got)).tobytes() == np.array(astuple(want)).tobytes()
+        return failures
+
+    def test_random_stacks(self, fitted_curves):
+        rng = random.Random(327)
+        curves = fitted_curves[:2]
+        raised = 0
+        for _ in range(100):
+            n_ribs = rng.randint(2, 14)
+            amplitude = rng.uniform(0.008, 0.04)
+            specs = []
+            for _ in range(rng.randint(1, 16)):
+                lever = rng.uniform(1.0, 8.0)
+                specs.append(SkeletonSpec(
+                    n_ribs=n_ribs, h1_h2=rng.choice([(1.0, lever), (lever, 1.0)]),
+                    thickness_ratio=rng.uniform(0.2, 4.0)))
+            raised += bool(self.assert_stack_agrees(specs, amplitude, curves))
+        assert 0 < raised < 100  # both outcomes are exercised
+
+    @pytest.mark.parametrize("odd, message", [
+        (SkeletonSpec(n_ribs=4, head_fraction=0.99), "head region"),
+        (SkeletonSpec(n_ribs=4, h1_h2=(1e-20, 1.0)), "y_spine <= y_top"),
+        (SkeletonSpec(n_ribs=4, thickness_first=1e-300, thickness_ratio=1e300), "thickness"),
+        (SkeletonSpec(n_ribs=4, h1_h2=(1.0, 8.0)), "geometric limit"),
+    ], ids=["head-past-tip", "spine-above-top", "thickness-underflow", "geometric-limit"])
+    def test_one_failing_design_fails_the_stack(self, fitted_curves, odd, message):
+        curves = fitted_curves[:2]
+        specs = [SkeletonSpec(n_ribs=4), odd, SkeletonSpec(n_ribs=4, thickness_ratio=2.0)]
+        (failure,) = self.assert_stack_agrees(specs, 0.03, curves)
+        assert message in str(failure)
+        assert self.assert_stack_agrees(specs[::2], 0.03, curves) == []
+
+    def test_swapped_curves_fail_every_design(self, fitted_curves):
+        upper, lower, _ = fitted_curves
+        specs = [SkeletonSpec(n_ribs=4), SkeletonSpec(n_ribs=4, h1_h2=(1.0, 2.0))]
+        failures = self.assert_stack_agrees(specs, 0.008, (lower, upper))
+        assert len(failures) == 2 and all("span is not positive" in str(f) for f in failures)
+
+    def test_designs_that_share_no_stations(self, fitted_curves):
+        specs = [SkeletonSpec(n_ribs=6), SkeletonSpec(n_ribs=6, body_length=0.5),
+                 SkeletonSpec(n_ribs=6, head_fraction=0.4, h1_h2=(1.0, 2.0)),
+                 SkeletonSpec(n_ribs=6, body_length=0.5, thickness_ratio=3.0)]
+        assert self.assert_stack_agrees(specs, 0.008, fitted_curves[:2]) == []
 
 
 class TestPareto:

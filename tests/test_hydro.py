@@ -17,6 +17,7 @@ from tailkit.hydro import (
     sample_kinematics_stack,
     steady_speed,
     steady_speed_from_history,
+    steady_speeds,
 )
 from tailkit.skeleton import generate_skeleton
 from tailkit.tendon import Chain, route_cables, segment_stiffnesses
@@ -81,14 +82,16 @@ class TestSampleKinematics:
         graph2 = generate_skeleton(other, upper, lower)
         designs = [(graph, routing, stiffnesses),
                    (graph2, route_cables(graph2), segment_stiffnesses(other))]
-        chains = [(Chain.from_graph(graph, routing), k) for graph, routing, k in designs]
-        stacked = sample_kinematics_stack(chains, AMPLITUDE, FREQUENCY, 32)
-        assert len(stacked) == 2
-        for design, history in zip(designs, stacked):
+        chain = Chain.from_specs([spec, other], upper, lower)
+        stacked = sample_kinematics_stack(chain, [k for *_, k in designs], AMPLITUDE, FREQUENCY, 32)
+        assert stacked.midlines.shape == (2, 32, 6, 2)
+        speeds = steady_speeds(stacked, HydroParams())
+        for design, midlines, speed in zip(designs, stacked.midlines, speeds):
             alone = sample_kinematics(*design, AMPLITUDE, FREQUENCY, 32)
-            assert history.period == alone.period
-            assert history.times.tobytes() == alone.times.tobytes()
-            assert history.midlines.tobytes() == alone.midlines.tobytes()
+            assert stacked.period == alone.period
+            assert stacked.times.tobytes() == alone.times.tobytes()
+            assert midlines.tobytes() == alone.midlines.tobytes()
+            assert speed == steady_speed_from_history(alone, HydroParams())
 
     def test_too_few_samples_rejected(self, type4_design):
         _, graph, routing, stiffnesses = type4_design
@@ -306,6 +309,14 @@ class TestCalibrate:
     def test_nonfinite_target_rejected(self, type4_design, target):
         _, graph, routing, stiffnesses = type4_design
         with pytest.raises(ValidationError, match="finite"):
+            calibrate(graph, routing, stiffnesses, AMPLITUDE, FREQUENCY, HydroParams(), target)
+
+    @pytest.mark.parametrize("target", [1e-300, 1e300])
+    def test_target_with_an_unrepresentable_square_rejected(self, type4_design, target):
+        # the square underflows to 0 or overflows, which once escaped as
+        # ZeroDivisionError or OverflowError
+        _, graph, routing, stiffnesses = type4_design
+        with pytest.raises(ValidationError, match="finite nonzero square"):
             calibrate(graph, routing, stiffnesses, AMPLITUDE, FREQUENCY, HydroParams(), target)
 
 

@@ -36,6 +36,18 @@ def rig():
     return graph, route_cables(graph)
 
 
+def stacked_chain(*rigs):
+    """One Chain of routed graphs with the same rib count, design i from rigs[i]."""
+    rows = []
+    for graph, _ in rigs:
+        tops, spines, bottoms = tendon._guide_ids(graph)
+        node = {n.id: n for n in graph.nodes}
+        rows.append([[node[i].x for i in spines]]
+                    + [[node[i].y for i in ids] for ids in (tops, spines, bottoms)])
+    slacks = [[r.slack_length_top for _, r in rigs], [r.slack_length_bottom for _, r in rigs]]
+    return Chain(*np.array(rows).transpose(1, 0, 2), *slacks)
+
+
 class TestRouting:
     def test_type4_has_six_guides_per_cable(self, type4_design):
         _, graph, routing, _ = type4_design
@@ -242,18 +254,33 @@ class TestCertificate:
 class TestChainFromSpec:
     @pytest.mark.parametrize("h1h2", [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (1.0, 8.0)])
     def test_equals_chain_of_routed_skeleton(self, fitted_curves, h1h2):
+        # design i of a stacked chain is, byte for byte, the chain of spec i's
+        # routed skeleton; the stack mixes h1:h2, tapers and body lengths
         upper, lower, _ = fitted_curves
         for n_ribs in range(2, 13):
-            for ratio in (0.2, 1.0, 3.0):
-                spec = SkeletonSpec(n_ribs=n_ribs, h1_h2=h1h2, thickness_ratio=ratio)
+            specs = [SkeletonSpec(n_ribs=n_ribs, h1_h2=hh, thickness_ratio=ratio,
+                                  body_length=length)
+                     for hh in (h1h2, (1.0, 1.0)) for ratio in (0.2, 1.0, 3.0)
+                     for length in (0.3251, 0.5)]
+            direct = Chain.from_specs(specs, upper, lower)
+            assert direct.slack.shape == (2, len(specs))
+            assert direct.p.shape == (2, len(specs), n_ribs - 1)
+            for i, spec in enumerate(specs):
                 graph = generate_skeleton(spec, upper, lower)
                 routing = route_cables(graph)
-                direct = Chain.from_spec(spec, upper, lower)
                 routed = Chain.from_graph(graph, routing)
-                for name in ("p", "q", "c", "seg_vec", "spine0"):
-                    assert getattr(direct, name).tobytes() == getattr(routed, name).tobytes()
+                for name in ("p", "q", "c", "slack"):
+                    assert getattr(direct, name)[:, i].tobytes() == getattr(routed, name).tobytes()
+                for name in ("seg_vec", "spine0"):
+                    assert getattr(direct, name)[i].tobytes() == getattr(routed, name).tobytes()
                 slack = (routing.slack_length_top, routing.slack_length_bottom)
-                assert np.array(direct.slack).tobytes() == np.array(slack).tobytes()
+                assert routed.slack.tobytes() == np.array(slack).tobytes()
+
+    def test_single_chain_has_no_design_axis(self, type4_design):
+        _, graph, routing, _ = type4_design
+        chain = Chain.from_graph(graph, routing)
+        assert chain.slack.shape == (2,) and chain.p.shape == (2, 5)
+        assert chain.spine0.shape == (6, 2)
 
 
 class TestBatchedBend:
@@ -265,13 +292,13 @@ class TestBatchedBend:
             for n_ribs in (4, 10):
                 spec_n = replace(spec, n_ribs=n_ribs)
                 graph = generate_skeleton(spec_n, upper, lower)
-                designs.append((graph, route_cables(graph), segment_stiffnesses(spec_n)))
+                designs.append((graph, route_cables(graph), segment_stiffnesses(spec_n), spec_n))
         return designs
 
     def test_matches_single_pose_solver_on_presets(self, preset_designs):
         # one period of the default waveform, both cables taut in turn
         deltas = [actuation_waveform(0.008, 1.5, j / (64 * 1.5)).delta_top for j in range(64)]
-        for graph, routing, k in preset_designs:
+        for graph, routing, k, _ in preset_designs:
             angles, midlines = bend_antagonistic(graph, routing, deltas, k)
             assert len(angles) == len(midlines) == len(deltas)
             for delta, theta, midline in zip(deltas, angles, midlines):
@@ -324,34 +351,33 @@ class TestBatchedBend:
                 f"(min achievable length 0.1385 m, target {target} m)"
             )
 
-    def test_stack_equals_each_design_alone(self, preset_designs):
+    def test_stack_equals_each_design_alone(self, preset_designs, fitted_curves):
         deltas = [actuation_waveform(0.008, 1.5, j / (64 * 1.5)).delta_top for j in range(64)]
         for n_seg in (3, 9):
             stack = [d for d in preset_designs if len(d[2]) == n_seg]
-            chains = [(Chain.from_graph(graph, routing), k) for graph, routing, k in stack]
-            angles, midlines = bend_antagonistic_stack(chains, deltas)
+            chain = Chain.from_specs([spec for *_, spec in stack], *fitted_curves[:2])
+            angles, midlines = bend_antagonistic_stack(chain, [k for _, _, k, _ in stack], deltas)
             assert angles.shape == (6, 64, n_seg) and midlines.shape == (6, 64, n_seg + 1, 2)
-            for design, theta, midline in zip(stack, angles, midlines):
-                alone = bend_antagonistic(*design[:2], deltas, design[2])
+            for (graph, routing, k, _), theta, midline in zip(stack, angles, midlines):
+                alone = bend_antagonistic(graph, routing, deltas, k)
                 assert theta.tobytes() == alone[0].tobytes()
                 assert midline.tobytes() == alone[1].tobytes()
 
-    def test_stack_checks_every_design(self, rig, preset_designs):
-        chain = Chain.from_graph(*rig)
+    def test_stack_checks_every_design(self, rig):
         narrow = make_symmetric_graph(half_span=0.004)
-        graph1, routing1, k1 = preset_designs[1]
-        with pytest.raises(ValidationError, match="same joint count"):
-            bend_antagonistic_stack(
-                [(chain, UNIFORM_K), (Chain.from_graph(graph1, routing1), k1)], [0.001])
-        with pytest.raises(ValidationError, match="same joint count"):
-            bend_antagonistic_stack([], [0.001])
-        with pytest.raises(ValidationError, match="stiffnesses"):
-            bend_antagonistic_stack([(chain, UNIFORM_K), (chain, [0.05])], [0.001])
+        short = make_symmetric_graph(spacing=0.01)  # slack 0.03 m: travel limit 6 mm
+        chain = stacked_chain(rig, (narrow, route_cables(narrow)))
+        with pytest.raises(ValidationError, match="expected 3 segment stiffnesses, got 2"):
+            bend_antagonistic_stack(chain, [[0.05, 0.05]] * 2, [0.001])
+        with pytest.raises(ValidationError, match="expected 3 segment stiffnesses, got 3"):
+            bend_antagonistic_stack(chain, [UNIFORM_K], [0.001])  # one row for two designs
+        with pytest.raises(ValidationError, match="must be positive"):
+            bend_antagonistic_stack(chain, [UNIFORM_K, [0.05, -0.05, 0.05]], [0.001])
         with pytest.raises(ComputationError, match="target 0.138 m"):
-            bend_antagonistic_stack(
-                [(chain, UNIFORM_K), (Chain.from_graph(narrow, route_cables(narrow)), UNIFORM_K)],
-                [0.001, 0.012],
-            )
+            bend_antagonistic_stack(chain, [UNIFORM_K] * 2, [0.001, 0.012])
+        with pytest.raises(ValidationError, match=r"delta_top 0.007 m exceeds .* slack 0.03 m"):
+            bend_antagonistic_stack(stacked_chain(rig, (short, route_cables(short))),
+                                    [UNIFORM_K] * 2, [0.001, 0.007])
 
     def test_closed_form_min_length_is_grid_minimum(self, rig, type4_design):
         _, graph4, routing4, _ = type4_design
@@ -520,14 +546,15 @@ class TestSinglePoseOracle:
         # continuation; each row keeps its own schedule, in a batch or a stack
         upper, lower, _ = fitted_curves
         designs = []
-        for spec in (SkeletonSpec(n_ribs=12, thickness_ratio=0.2),
-                     SkeletonSpec(n_ribs=12, h1_h2=(1.0, 8.0), thickness_ratio=0.2),
-                     SkeletonSpec(n_ribs=12)):
+        specs = (SkeletonSpec(n_ribs=12, thickness_ratio=0.2),
+                 SkeletonSpec(n_ribs=12, h1_h2=(1.0, 8.0), thickness_ratio=0.2),
+                 SkeletonSpec(n_ribs=12))
+        for spec in specs:
             graph = generate_skeleton(spec, upper, lower)
             designs.append((graph, route_cables(graph), segment_stiffnesses(spec)))
         deltas = [actuation_waveform(0.04, 1.5, j / (64 * 1.5)).delta_top for j in range(64)]
-        chains = [(Chain.from_graph(graph, routing), k) for graph, routing, k in designs]
-        stacked, _ = bend_antagonistic_stack(chains, deltas)
+        stacked, _ = bend_antagonistic_stack(Chain.from_specs(specs, upper, lower),
+                                             [k for *_, k in designs], deltas)
         graph, routing, k = designs[0]
         angles, _ = bend_antagonistic(graph, routing, deltas, k)
         for delta, theta in zip(deltas, angles):
