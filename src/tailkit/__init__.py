@@ -59,13 +59,11 @@ from .skeleton import (
     Rib,
     SkeletonGraph,
     SkeletonSpec,
-    ValidationReport,
     generate_skeleton,
     preset,
     rib_thicknesses,
     six_presets,
     spine_segment_thicknesses,
-    validate_skeleton,
 )
 from .tendon import (
     ActuationCommand,

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .energetics import DERIVED_MASS_KG, POWER_FIELDS, PowerModel, SwimResult, predict_power
 from .errors import ValidationError
-from .formats import Array, Fields, dump_json, load_json, nullable, number, string, whole
+from .formats import Array, Fields, boolean, dump_json, load_json, nullable, number, string, whole
 from .hydro import HYDRO_FIELDS, HydroParams, sample_kinematics_stack, steady_speeds
 from .profile import (
     PolyCurve,
@@ -49,28 +50,20 @@ from .tendon import (
 # while a stack's arrays keep growing with it.
 STACK_SIZE = 16
 
-# Each grid axis with its label prefix and value format, in label order.
-_LABEL_PARTS = (
-    ("h1_h2_values", "h", lambda h1h2: f"{h1h2[0]:g}-{h1h2[1]:g}"),
-    ("thickness_ratios", "t", lambda ratio: f"{ratio:g}"),
-    ("n_ribs_values", "r", str),
+# Each grid axis with the spec field it sets, its label prefix and value
+# format, in label order.
+_AXES = (
+    ("h1_h2_values", "h1_h2", "h", lambda h1h2: f"{h1h2[0]:g}-{h1h2[1]:g}"),
+    ("thickness_ratios", "thickness_ratio", "t", lambda ratio: f"{ratio:g}"),
+    ("n_ribs_values", "n_ribs", "r", str),
 )
 
 SOURCE_SIMULATED = "simulated"
 SOURCE_REFERENCE = "paper-reference"
 
-# The report columns that SwimResult.to_dict fills; empty for a failed design.
-_METRIC_COLUMNS = ("speed_mm_s", "speed_bl_s", "power_w", "mass_kg", "cot")
-REPORT_COLUMNS = (
-    "label",
-    "h1",
-    "h2",
-    "thickness_ratio",
-    "n_ribs",
-    *_METRIC_COLUMNS,
-    "pareto",
-    "source",
-)
+# The report CSV columns; the metrics, speed_mm_s to cot, are empty for a failed design.
+REPORT_COLUMNS = ("label", "h1", "h2", "thickness_ratio", "n_ribs", "speed_mm_s", "speed_bl_s",
+                  "power_w", "mass_kg", "cot", "pareto", "source")
 
 # Measured swim metrics of the six stock skeleton types (speed mm/s,
 # speed bl/s, COT). Mass and per-row power are derived from these via
@@ -101,8 +94,14 @@ class DesignGrid:
         if not self.h1_h2_values or not self.thickness_ratios or not self.n_ribs_values:
             raise ValidationError("grid value lists must be non-empty")
         check_actuation(*self.actuation)
-        for name, _, fmt in _LABEL_PARTS:
+        for name, attr, _, fmt in _AXES:
             values = getattr(self, name)
+            # each spec check involves at most one axis, so this covers every point
+            for value in values:
+                try:
+                    replace(self.base_spec, **{attr: value})
+                except ValidationError as e:
+                    raise ValidationError(f"grid {name} {value!r}: {e}") from None
             labels = [fmt(v) for v in values]
             for j, label in enumerate(labels):
                 i = labels.index(label)
@@ -210,17 +209,10 @@ def evaluate_design(
 
 def _grid_points(grid: DesignGrid) -> list[tuple[str, SkeletonSpec]]:
     points = []
-    for h1h2 in grid.h1_h2_values:
-        for ratio in grid.thickness_ratios:
-            for n_ribs in grid.n_ribs_values:
-                spec = replace(
-                    grid.base_spec, n_ribs=n_ribs, h1_h2=h1h2, thickness_ratio=ratio
-                )
-                label = "_".join(
-                    prefix + fmt(value)
-                    for (_, prefix, fmt), value in zip(_LABEL_PARTS, (h1h2, ratio, n_ribs))
-                )
-                points.append((label, spec))
+    for values in itertools.product(*(getattr(grid, name) for name, *_ in _AXES)):
+        spec = replace(grid.base_spec, **{attr: v for (_, attr, _, _), v in zip(_AXES, values)})
+        label = "_".join(prefix + fmt(v) for (_, _, prefix, fmt), v in zip(_AXES, values))
+        points.append((label, spec))
     return points
 
 
@@ -343,19 +335,13 @@ def reference_records() -> list[DesignRecord]:
     return records
 
 
-def _record_row(record: DesignRecord, pareto: bool) -> dict:
-    spec = record.spec
-    metrics = record.result.to_dict() if record.result is not None else {}
-    return {
-        "label": record.label,
-        "h1": spec.h1,
-        "h2": spec.h2,
-        "thickness_ratio": spec.thickness_ratio,
-        "n_ribs": spec.n_ribs,
-        "pareto": pareto,
-        "source": record.source,
-        **{key: metrics.get(key) for key in _METRIC_COLUMNS},
-    }
+def _row_values(record: DesignRecord, pareto: bool) -> tuple:
+    """A record's report row in ``_ROW_FIELDS`` order; a failed design has no metrics."""
+    spec, r = record.spec, record.result
+    metrics = (None,) * 6 if r is None else (
+        r.speed * 1000.0, r.speed_bl, r.power, r.mass, r.cot, r.speed)
+    return (record.label, spec.h1, spec.h2, spec.thickness_ratio, spec.n_ribs, pareto,
+            record.source, *metrics, record.error, spec)
 
 
 def emit_report(records: list[DesignRecord], fmt: str) -> str:
@@ -371,19 +357,12 @@ def emit_report(records: list[DesignRecord], fmt: str) -> str:
     if any(r.result is not None for r in records):
         front_labels = {r.label for r in pareto_front(records)}
 
-    if fmt == "csv":
-        return _report_csv(_record_row(rec, rec.label in front_labels) for rec in records)
+    rows = (_row_values(rec, rec.label in front_labels) for rec in records)
+    if fmt == "csv":  # the CSV's columns from the same values, without the spec's dict
+        return _report_csv(dict(zip(_ROW_FIELDS.keys, row)) for row in rows)
 
     if fmt == "json":
-        payload = []
-        for rec in records:
-            row = _record_row(rec, rec.label in front_labels)
-            # mm/s mirrors the CSV; m/s keeps the round-trip bit-exact
-            row["speed_m_s"] = rec.result.speed if rec.result is not None else None
-            row["error"] = rec.error
-            row["spec"] = spec_to_dict(rec.spec)
-            payload.append(row)
-        return dump_json(payload)
+        return dump_json([_ROW_FIELDS.write(row) for row in rows])
 
     if fmt == "plot":
         lines = ["speed_mm_s,cot"]
@@ -430,25 +409,29 @@ def pareto_report_csv(text: str) -> str:
     return _report_csv({**scored[i], "pareto": "true"} for i in _front_order(points))
 
 
-def _record(label, source, error, spec, **metrics) -> DesignRecord:
+def _record(label, source, error, spec, speed_bl, power, mass, cot, speed, **derived):
     result = None
     if error is None:
-        if None in metrics.values():
+        if None in (speed_bl, power, mass, cot, speed):
             raise ValidationError("a record without an error needs every metric")
-        result = SwimResult(body_length=spec.body_length, **metrics)
+        result = SwimResult(speed=speed, speed_bl=speed_bl, power=power, mass=mass, cot=cot,
+                            body_length=spec.body_length)
     return DesignRecord(label=label, spec=spec, result=result, source=source, error=error)
 
 
-# The report JSON keys that hold a record, in file order; the rest repeat
-# the spec or the metrics in the report CSV's units.
-_RECORD_FIELDS = Fields(
-    _record, ("label", "label", string), ("source", "source", string),
-    ("speed_bl", "speed_bl_s", nullable(number)), ("power", "power_w", nullable(number)),
-    ("mass", "mass_kg", nullable(number)), ("cot", "cot", nullable(number)),
-    ("speed", "speed_m_s", nullable(number)), ("error", "error", nullable(string)),
-    ("spec", "spec", _SPEC_FIELDS))
+# The report JSON row in file order, for both directions. h1 to n_ribs,
+# pareto and speed_mm_s repeat the spec, the front and the m/s speed (which
+# keeps the round trip bit-exact): they are read, type-checked and dropped.
+_ROW_FIELDS = Fields(
+    _record, ("label", "label", string), ("h1", "h1", number), ("h2", "h2", number),
+    ("thickness_ratio", "thickness_ratio", number), ("n_ribs", "n_ribs", whole),
+    ("pareto", "pareto", boolean), ("source", "source", string),
+    ("speed_mm_s", "speed_mm_s", nullable(number)), ("speed_bl", "speed_bl_s", nullable(number)),
+    ("power", "power_w", nullable(number)), ("mass", "mass_kg", nullable(number)),
+    ("cot", "cot", nullable(number)), ("speed", "speed_m_s", nullable(number)),
+    ("error", "error", nullable(string)), ("spec", "spec", _SPEC_FIELDS))
 
 
 def parse_report_json(text: str) -> list[DesignRecord]:
     """Inverse of emit_report(..., 'json')."""
-    return list(Array(_RECORD_FIELDS)(load_json(text, "report JSON"), "report JSON: $"))
+    return list(Array(_ROW_FIELDS)(load_json(text, "report JSON"), "report JSON: $"))

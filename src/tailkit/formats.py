@@ -150,7 +150,8 @@ def _refuse(where: str, must: str, value):
 
 def _scalar(must: str, types, convert):
     def read(value, where: str):
-        if isinstance(value, bool) or not isinstance(value, types):
+        # a JSON boolean is a bool, and a bool is also an int in Python
+        if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
             _refuse(where, must, value)
         return convert(value)
 
@@ -160,6 +161,7 @@ def _scalar(must: str, types, convert):
 number = _scalar("a number", (int, float), float)
 integer = _scalar("an integer", int, int)
 string = _scalar("a string", str, str)
+boolean = _scalar("a boolean", bool, bool)
 
 
 def whole(value, where: str) -> int:

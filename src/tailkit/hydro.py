@@ -167,9 +167,12 @@ def _trailing_edge_series(history: MidlineHistory) -> tuple[np.ndarray, np.ndarr
 
 def _thrust_coefficients(history: MidlineHistory, params: HydroParams):
     """A and B of the mean thrust A - B*U**2: floats, or lists for a stack."""
-    hdot, hx = _trailing_edge_series(history)
     m_a = params.rho * math.pi * params.tip_span**2 / 4.0 * params.added_mass_coeff
-    return tuple((0.5 * m_a * np.mean(v**2, axis=-1)).tolist() for v in (hdot, hx))
+    with np.errstate(over="ignore"):  # an overflow is refused below, once per call
+        a, b = (0.5 * m_a * np.mean(v**2, axis=-1) for v in _trailing_edge_series(history))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ComputationError("thrust estimate overflows: the trailing edge moves too fast")
+    return a.tolist(), b.tolist()
 
 
 def mean_thrust(history: MidlineHistory, speed: float, params: HydroParams) -> float:

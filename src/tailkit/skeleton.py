@@ -8,11 +8,16 @@ with h1 the share ABOVE the rod and h2 the share below, so h1:h2 = 1:2
 puts the rod at 2/3 of the rib height (a "higher tail"). Rib thickness
 tapers linearly from the head-most to the tail-most rib; each rod
 segment inherits the thickness of its head-adjacent rib.
+
+``SkeletonSpec`` refuses a degenerate design where it is built: a spine
+share h2 / (h1 + h2) that rounds to 0 or 1, and a last rib thickness
+thickness_first / thickness_ratio that is not finite and positive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,11 +59,20 @@ class SkeletonSpec:
         h1, h2 = self.h1_h2
         if h1 <= 0 or h2 <= 0:
             raise ValidationError("h1 and h2 must be positive")
+        # a share below 1 keeps each spine point at or below its top guide despite
+        # rounding; h1 <= ~1e-16 * h2 rounds the share to 1
+        if not 0.0 < h2 / (h1 + h2) < 1.0:
+            raise ValidationError(f"h1:h2 {h1:g}:{h2:g} leaves no rib on one side of the spine "
+                                  f"(spine share h2/(h1+h2) is {h2 / (h1 + h2):g})")
         if self.thickness_first <= 0:
             raise ValidationError("thickness_first must be positive")
         # ratio < 1 (thickening toward the tail) is allowed but unusual
         if self.thickness_ratio <= 0:
             raise ValidationError("thickness_ratio must be positive")
+        t_last = self.thickness_first / self.thickness_ratio
+        if not 0.0 < t_last < math.inf:
+            raise ValidationError(f"last rib thickness thickness_first/thickness_ratio is "
+                                  f"{t_last:g} mm; it must be finite and positive")
         if self.spine_shape != "straight":
             raise ValidationError(f"unsupported spine_shape {self.spine_shape!r}")
 
@@ -124,15 +138,6 @@ class SkeletonGraph:
                 )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def rib_thicknesses(spec: SkeletonSpec) -> list[float]:
     """Linear taper from thickness_first down to thickness_first/ratio, mm.
 
@@ -140,8 +145,6 @@ def rib_thicknesses(spec: SkeletonSpec) -> list[float]:
     ratios rely on.
     """
     t_last = spec.thickness_first / spec.thickness_ratio
-    if not t_last > 0:  # the division underflowed
-        raise ValidationError("rib thickness must be positive")
     return [float(t) for t in np.linspace(spec.thickness_first, t_last, spec.n_ribs)]
 
 
@@ -173,10 +176,7 @@ def rib_stations(specs, upper: PolyCurve, lower: PolyCurve) -> tuple[np.ndarray,
         shared[length, head_fraction, n_ribs] = stations, y_top, y_bot
     x, y_top, y_bot = (np.array(rows) for rows in zip(*map(shared.get, keys)))
     share = np.array([[spec.h2 / (spec.h1 + spec.h2)] for spec in specs])
-    y_spine = y_bot + share * (y_top - y_bot)
-    if np.any(y_spine > y_top):  # h1 ~1e-17 of h2 or less, rounded
-        raise ValidationError("rib requires y_bottom <= y_spine <= y_top")
-    return x, y_top, y_spine, y_bot
+    return x, y_top, y_bot + share * (y_top - y_bot), y_bot
 
 
 def generate_skeleton(spec: SkeletonSpec, upper: PolyCurve, lower: PolyCurve) -> SkeletonGraph:
@@ -237,9 +237,6 @@ def preset(name: str) -> SkeletonSpec:
     return six_presets()[idx]
 
 
-ENVELOPE_TOLERANCE_M = 1e-3
-
-
 def infer_body_length(graph: SkeletonGraph) -> float:
     """Recover body length from the tail-most rib station.
 
@@ -249,48 +246,3 @@ def infer_body_length(graph: SkeletonGraph) -> float:
     if not graph.ribs:
         raise ValidationError("graph has no ribs")
     return max(r.x for r in graph.ribs) / (1.0 - TIP_MARGIN_FRACTION)
-
-
-def validate_skeleton(
-    graph: SkeletonGraph,
-    upper: PolyCurve,
-    lower: PolyCurve,
-    body_length: float | None = None,
-) -> ValidationReport:
-    """Manufacturability check: profile-envelope containment (1 mm
-    tolerance), connectivity, member thicknesses. Findings are reported,
-    not raised."""
-    violations: list[str] = []
-    length = body_length if body_length is not None else infer_body_length(graph)
-
-    for i, rib in enumerate(graph.ribs):
-        x_norm = min(max(rib.x / length, 0.0), 1.0)
-        env_top = eval_profile(upper, x_norm) * length
-        env_bot = eval_profile(lower, x_norm) * length
-        if rib.y_top > env_top + ENVELOPE_TOLERANCE_M:
-            violations.append(
-                f"rib {i}: y_top {rib.y_top:.4f} exceeds profile envelope {env_top:.4f}"
-            )
-        if rib.y_bottom < env_bot - ENVELOPE_TOLERANCE_M:
-            violations.append(
-                f"rib {i}: y_bottom {rib.y_bottom:.4f} is below profile envelope {env_bot:.4f}"
-            )
-        if rib.thickness <= 0:
-            violations.append(f"rib {i}: zero-thickness member")
-
-    adjacency: dict[int, set[int]] = {n.id: set() for n in graph.nodes}
-    for a, b in list(graph.bars) + list(graph.strings):
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    if graph.nodes:
-        seen = {graph.nodes[0].id}
-        stack = [graph.nodes[0].id]
-        while stack:
-            for nb in adjacency[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        unreached = sorted(set(adjacency) - seen)
-        if unreached:
-            violations.append(f"graph is disconnected: nodes {unreached} unreachable")
-    return ValidationReport(violations=tuple(violations))

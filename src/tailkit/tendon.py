@@ -26,7 +26,9 @@ getting the bits it gets alone; a row Newton fails on is solved again
 under load continuation. Only a
 command that shortens both cables needs a general root find with load
 continuation, the only use of scipy, imported on that path alone; its
-pose is refused unless it is certified a constrained minimum.
+pose is refused unless it is certified a constrained minimum. Joint
+stiffnesses, from a spec or from a graph's ribs, follow one cubic law in
+rib thickness, which refuses a stiffness that overflows a double.
 """
 
 from __future__ import annotations
@@ -157,18 +159,28 @@ def segment_stiffnesses(spec: SkeletonSpec, k_ref: float = DEFAULT_K_REF) -> lis
     k_ref is a calibration constant; poses depend only on stiffness
     ratios, so its absolute value does not affect kinematics.
     """
-    t_ref = spec.thickness_first
-    return [k_ref * (t / t_ref) ** 3 for t in spine_segment_thicknesses(spec)]
+    return _cubic_stiffnesses(spine_segment_thicknesses(spec), spec.thickness_first, k_ref)
 
 
 def stiffnesses_from_graph(graph: SkeletonGraph, k_ref: float = DEFAULT_K_REF) -> list[float]:
     """Segment stiffnesses recovered from a graph's rib thicknesses."""
-    require_finite("k_ref", k_ref)
     ribs = sorted(graph.ribs, key=lambda r: r.x)
     if len(ribs) < 2:
         raise ValidationError("need at least 2 ribs")
-    t_ref = ribs[0].thickness
-    return [k_ref * (r.thickness / t_ref) ** 3 for r in ribs[:-1]]
+    return _cubic_stiffnesses([r.thickness for r in ribs[:-1]], ribs[0].thickness, k_ref)
+
+
+def _cubic_stiffnesses(thicknesses, t_first: float, k_ref: float) -> list[float]:
+    """k_ref * (t / t_first)**3 per segment thickness t, in Python floats."""
+    require_finite("k_ref", k_ref)
+    try:
+        k = [k_ref * (t / t_first) ** 3 for t in thicknesses]
+        if all(map(math.isfinite, k)):
+            return k
+    except OverflowError:  # float ** raises where * gives inf
+        pass
+    raise ValidationError(f"segment stiffness overflows: ribs up to {max(thicknesses):g} mm "
+                          f"thick against {t_first:g} mm at the first rib")
 
 
 def _segment_terms(

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -501,6 +502,30 @@ class TestCliBehavior:
         assert "not UTF-8 text" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["skel.json"]
 
+    @pytest.mark.parametrize("argv, code, named", [
+        (["skeleton", "--h1h2", "1e-20:1"], 1, "h1:h2 1e-20:1"),
+        (["skeleton", "--h1h2", "1:1", "--thickness-ratio", "1e-308"], 1, "last rib thickness"),
+        (["swim", "--skeleton", "{thick}"], 1, "segment stiffness overflows"),
+        (["bend", "--skeleton", "{thick}", "--delta-top", "0.003", "--delta-bottom", "0"], 1,
+         "segment stiffness overflows"),
+        (["swim", "--skeleton", "{type4}", "--freq", "1e300"], 2, "thrust estimate overflows"),
+        (["swim", "--skeleton", "{type4}", "--freq", "1e160", "--calibrate-speed", "0.163"], 2,
+         "thrust estimate overflows"),
+    ], ids=["spine-share-1", "last-rib-inf", "swim-stiffness-overflow", "bend-stiffness-overflow",
+            "swim-thrust-overflow", "calibrate-thrust-overflow"])
+    def test_degenerate_input_gives_one_error_line(self, skel4, tmp_path, capsys, argv, code,
+                                                   named):
+        # a skeleton whose ribs thicken 1e120-fold: its stiffnesses overflow a double
+        thick, out = tmp_path / "thick.json", tmp_path / "out.json"
+        run_ok(["skeleton", "--h1h2", "1:1", "--thickness-ratio", "1e-120", "--out", str(thick)])
+        argv = [arg.format(thick=thick, type4=skel4) for arg in argv]
+        if argv[0] != "swim":
+            argv += ["--out", str(out)]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and named in captured.err
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize(
         "command",
         ["fit", "skeleton", "bend", "swim", "sweep", "pareto", "export", "analyze"],
@@ -799,3 +824,41 @@ class TestArgvFuzz:
             assert left == [], (argv, left)  # nothing written, not even a temp file
         else:
             assert not [name for name in left if name.endswith(".tmp")], argv
+
+
+# sha256 prefixes of the pinned outputs; a declared byte change edits this table
+_PINNED_OUTPUTS = {
+    "fit.json": "2db89a1ef66b",
+    "type4.json": "1a0644d7267d",
+    "sweep.csv": "91d9842ab257",
+    "sweep.json": "609fbd775765",
+    "swim.json": "b9b01cd25431",
+    "bend.json": "08a6f16a4c12",
+    "grid80.csv": "d5e02e00d5ff",
+    "grid80.json": "6bfabfb9a20d",
+}
+# 80 designs at 3 cm strokes, some of which fail in the bend solve
+_GRID_80 = {"h1_h2_values": [[1, 1], [1, 2], [1, 8], [2, 1]],
+            "thickness_ratios": [0.2, 1, 2, 3], "n_ribs_values": [4, 6, 8, 10, 12],
+            "actuation": {"amplitude_m": 0.03, "frequency_hz": 1.5}}
+
+
+def test_pinned_outputs_are_byte_identical(tmp_path, capsys):
+    def path(name):
+        return str(tmp_path / name)
+
+    (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "grid80_in.json").write_text(json.dumps(_GRID_80))
+    run_ok(["fit", "--profile", str(reference_profile_path()), "--out", path("fit.json")])
+    run_ok(["skeleton", "--preset", "type4", "--out", path("type4.json")])
+    for grid, name in (("empty.json", "sweep"), ("grid80_in.json", "grid80")):
+        run_ok(["sweep", "--grid", path(grid), "--out", path(f"{name}.csv"),
+                "--json-out", path(f"{name}.json")])
+    run_ok(["bend", "--skeleton", path("type4.json"), "--delta-top", "0.003",
+            "--delta-bottom", "0.001", "--out", path("bend.json")])
+    capsys.readouterr()
+    run_ok(["swim", "--skeleton", path("type4.json"), "--calibrate-speed", "0.163181"])
+    (tmp_path / "swim.json").write_text(capsys.readouterr().out)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:12]
+           for name in _PINNED_OUTPUTS}
+    assert got == _PINNED_OUTPUTS

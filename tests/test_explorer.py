@@ -112,6 +112,23 @@ class TestGrid:
             DesignGrid(**{axis: values})
         assert str(caught.value) == f"grid {axis} {named}"
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"h1_h2_values": [[-1, 1]]}, "h1_h2_values (-1.0, 1.0): h1 and h2 must be positive"),
+        ({"h1_h2_values": [[1, 1], [1e-20, 1]]}, "h1_h2_values (1e-20, 1.0): h1:h2 1e-20:1 "),
+        ({"base_spec": spec_to_dict(SkeletonSpec(thickness_first=1e-300)),
+          "thickness_ratios": [1, 1e300]}, "thickness_ratios 1e+300: last rib thickness"),
+        ({"n_ribs_values": [4, 1]}, "n_ribs_values 1: need at least 2 ribs"),
+    ], ids=["negative-h1", "spine-above-top", "thickness-underflow", "one-rib"])
+    def test_axis_value_refused_at_load(self, tmp_path, capsys, doc, named):
+        # each value of an axis is checked against the base spec before any point runs
+        grid, out = tmp_path / "grid.json", tmp_path / "report.csv"
+        grid.write_text(json.dumps(doc))
+        assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: grid JSON: $: grid {named}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 def _json_type(value) -> str:
     return {type(None): "null", bool: "boolean", int: "number", float: "number",
@@ -289,8 +306,6 @@ class TestSweep:
     @pytest.mark.parametrize("base, h1h2, ratio, swap", [
         (SkeletonSpec(head_fraction=0.99), (1.0, 1.0), 1.0, False),  # head region past the tip
         (SkeletonSpec(), (1.0, 1.0), 1.0, True),  # curves swapped: non-positive rib span
-        (SkeletonSpec(), (1e-20, 1.0), 1.0, False),  # spine rounded above the top guide
-        (SkeletonSpec(thickness_first=1e-300), (1.0, 1.0), 1e300, False),  # last rib 0 mm
     ])
     def test_point_fails_as_its_skeleton_does(self, fitted_curves, base, h1h2, ratio, swap):
         upper, lower, _ = fitted_curves
@@ -361,10 +376,8 @@ class TestStackedEvaluation:
 
     @pytest.mark.parametrize("odd, message", [
         (SkeletonSpec(n_ribs=4, head_fraction=0.99), "head region"),
-        (SkeletonSpec(n_ribs=4, h1_h2=(1e-20, 1.0)), "y_spine <= y_top"),
-        (SkeletonSpec(n_ribs=4, thickness_first=1e-300, thickness_ratio=1e300), "thickness"),
         (SkeletonSpec(n_ribs=4, h1_h2=(1.0, 8.0)), "geometric limit"),
-    ], ids=["head-past-tip", "spine-above-top", "thickness-underflow", "geometric-limit"])
+    ], ids=["head-past-tip", "geometric-limit"])
     def test_one_failing_design_fails_the_stack(self, fitted_curves, odd, message):
         curves = fitted_curves[:2]
         specs = [SkeletonSpec(n_ribs=4), odd, SkeletonSpec(n_ribs=4, thickness_ratio=2.0)]
@@ -519,6 +532,25 @@ class TestReports:
     def test_bad_report_json_rejected(self, text):
         with pytest.raises(ValidationError):
             parse_report_json(text)
+
+    def test_every_row_key_is_required(self):
+        doc = json.loads(emit_report(reference_records(), "json"))
+        for key in doc[1]:
+            row = {k: v for k, v in doc[1].items() if k != key}
+            with pytest.raises(ValidationError) as caught:
+                parse_report_json(json.dumps([doc[0], row]))
+            assert str(caught.value) == f"report JSON: $[1].{key} is missing"
+
+    @pytest.mark.parametrize("key, value, must", [
+        ("pareto", "true", "a boolean"), ("pareto", 1, "a boolean"), ("h1", "1", "a number"),
+        ("n_ribs", 6.5, "a whole number"), ("speed_mm_s", "163", "a number"),
+    ])
+    def test_derived_keys_are_type_checked(self, key, value, must):
+        doc = json.loads(emit_report(reference_records(), "json"))
+        doc[1][key] = value
+        with pytest.raises(ValidationError) as caught:
+            parse_report_json(json.dumps(doc))
+        assert str(caught.value) == f"report JSON: $[1].{key} must be {must}, got {value!r}"
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,8 @@
+import random
+import re
+
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +17,10 @@ from tailkit.skeleton import (
     generate_skeleton,
     infer_body_length,
     preset,
+    rib_stations,
     rib_thicknesses,
     six_presets,
     spine_segment_thicknesses,
-    validate_skeleton,
 )
 
 
@@ -55,6 +60,16 @@ class TestSpec:
     )
     def test_non_finite_values_rejected(self, kwargs):
         with pytest.raises(ValidationError, match="finite"):
+            SkeletonSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"h1_h2": (1e-20, 1.0)}, "h1:h2 1e-20:1"),
+        ({"h1_h2": (1e308, 1e308)}, "h1:h2 1e+308:1e+308"),  # h1 + h2 overflows
+        ({"thickness_first": 1e-300, "thickness_ratio": 1e300}, "last rib thickness"),
+        ({"thickness_ratio": 1e-308}, "last rib thickness"),
+    ], ids=["spine-above-top", "spine-sum-overflow", "thickness-underflow", "thickness-overflow"])
+    def test_degenerate_design_refused(self, kwargs, named):
+        with pytest.raises(ValidationError, match=re.escape(named)):
             SkeletonSpec(**kwargs)
 
 
@@ -188,6 +203,17 @@ class TestGenerate:
         with pytest.raises(ValidationError, match="head region"):
             generate_skeleton(SkeletonSpec(head_fraction=0.98), upper, lower)
 
+    def test_spine_between_guides_near_the_share_limit(self, fitted_curves):
+        # a spine share just below 1 must not round a spine point past its top
+        # guide; h1/h2 from 1.12e-16 (above 2**-53, so that h1 + h2 > h2) to 1e-14
+        rng = random.Random(16)
+        specs = [SkeletonSpec(n_ribs=12, body_length=rng.uniform(0.05, 2.0),
+                              head_fraction=rng.uniform(0.05, 0.9),
+                              h1_h2=(10 ** rng.uniform(-15.95, -14) * h2, h2))
+                 for h2 in (10 ** rng.uniform(-6, 6) for _ in range(2000))]
+        x, y_top, y_spine, y_bottom = rib_stations(specs, *fitted_curves[:2])
+        assert np.all(y_bottom <= y_spine) and np.all(y_spine <= y_top)
+
     def test_body_length_inference(self, fitted_curves):
         upper, lower, _ = fitted_curves
         graph = generate_skeleton(SkeletonSpec(), upper, lower)
@@ -214,54 +240,3 @@ class TestGraphValidation:
     def test_rib_ordering_invariant(self):
         with pytest.raises(ValidationError):
             Rib(x=0.1, y_top=-0.1, y_bottom=0.1, y_spine=0.0, thickness=1.0)
-
-
-class TestValidateSkeleton:
-    def test_fresh_skeleton_is_clean(self, fitted_curves):
-        upper, lower, _ = fitted_curves
-        graph = generate_skeleton(six_presets()[3], upper, lower)
-        report = validate_skeleton(graph, upper, lower)
-        assert report.ok
-        assert report.violations == ()
-
-    def test_orphan_node_reported(self, fitted_curves):
-        upper, lower, _ = fitted_curves
-        graph = generate_skeleton(six_presets()[3], upper, lower)
-        orphan = Node(999, 0.2, 0.0)
-        broken = SkeletonGraph(
-            graph.nodes + (orphan,), graph.bars, graph.strings, graph.ribs,
-            graph.head_boundary_x,
-        )
-        report = validate_skeleton(broken, upper, lower)
-        assert not report.ok
-        assert any("disconnected" in v for v in report.violations)
-
-    def test_envelope_breach_reported(self, fitted_curves):
-        upper, lower, _ = fitted_curves
-        graph = generate_skeleton(six_presets()[3], upper, lower)
-        rib = graph.ribs[2]
-        tall = Rib(
-            x=rib.x, y_top=rib.y_top + 0.002, y_bottom=rib.y_bottom,
-            y_spine=rib.y_spine, thickness=rib.thickness,
-        )
-        broken = SkeletonGraph(
-            graph.nodes, graph.bars, graph.strings,
-            graph.ribs[:2] + (tall,) + graph.ribs[3:], graph.head_boundary_x,
-        )
-        report = validate_skeleton(broken, upper, lower, body_length=0.3251)
-        assert any("envelope" in v for v in report.violations)
-
-    def test_breach_within_tolerance_passes(self, fitted_curves):
-        upper, lower, _ = fitted_curves
-        graph = generate_skeleton(six_presets()[3], upper, lower)
-        rib = graph.ribs[2]
-        slightly = Rib(
-            x=rib.x, y_top=rib.y_top + 0.0005, y_bottom=rib.y_bottom,
-            y_spine=rib.y_spine, thickness=rib.thickness,
-        )
-        tweaked = SkeletonGraph(
-            graph.nodes, graph.bars, graph.strings,
-            graph.ribs[:2] + (slightly,) + graph.ribs[3:], graph.head_boundary_x,
-        )
-        report = validate_skeleton(tweaked, upper, lower, body_length=0.3251)
-        assert not any("envelope" in v for v in report.violations)
