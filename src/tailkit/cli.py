@@ -5,8 +5,10 @@ writes through a temp-file/rename pair, so a failing run never leaves a
 partial artifact. Exit codes: 0 success, 1 validation error, 2
 computation error. Files are parsed and rendered by the library
 modules (``formats`` and ``explorer``); this module only opens and
-writes them. A plain-text config file (``key = value`` lines, #
-comments) can override built-in defaults; explicit flags always win.
+writes them. Each subcommand's settings are declared once, in
+``SETTINGS``: a setting whose flag is not given takes its key's value
+from the ``--config`` file (``key = value`` lines, # comments), or else
+its default.
 """
 
 from __future__ import annotations
@@ -37,6 +39,46 @@ from .profile import (
 
 DEFAULT_FILL = 20
 
+# The settings of each subcommand: (flag, config key, type, default, help).
+# One config file serves every subcommand; each reads only its own keys.
+_K_REF = ("--k-ref", "k_ref", float, tendon.DEFAULT_K_REF, "reference joint stiffness, N*m/rad")
+_MASS = ("--mass", "mass_kg", float, energetics.DERIVED_MASS_KG,
+         "robot mass, kg; the default is derived, not measured")
+SETTINGS = {
+    "fit": (
+        ("--degree", "degree", int, DEFAULT_DEGREE, "fit degree"),
+        ("--excise", "excise", str, f"{DORSAL_EXCISE_LO}:{DORSAL_EXCISE_HI}",
+         "dorsal window LO:HI in meters, or 'none'"),
+        ("--fill", "fill", int, None,
+         f"gap-fill point count; unset, {DEFAULT_FILL} when excising, else 0"),
+    ),
+    "skeleton": (
+        ("--ribs", "n_ribs", int, skeleton.DEFAULT_N_RIBS, "rib count"),
+        ("--body-length", "body_length_m", float, skeleton.DEFAULT_BODY_LENGTH_M,
+         "robot body length in meters"),
+        ("--head-fraction", "head_fraction", float, skeleton.DEFAULT_HEAD_FRACTION,
+         "head share of body length"),
+        ("--thickness-first", "thickness_first_mm", float, skeleton.DEFAULT_THICKNESS_FIRST_MM,
+         "first rib thickness in mm"),
+    ),
+    "bend": (_K_REF,),
+    "swim": (
+        ("--amplitude", "amplitude_m", float, tendon.DEFAULT_AMPLITUDE_M,
+         "cable stroke amplitude, m"),
+        ("--freq", "frequency_hz", float, tendon.DEFAULT_FREQUENCY_HZ, "actuation frequency, Hz"),
+        _K_REF,
+        _MASS,
+        ("--samples", "n_samples", int, hydro.DEFAULT_N_SAMPLES, "kinematics samples per period"),
+    ),
+    "sweep": (
+        ("--jobs", "jobs", int, 1, "worker processes; a design takes about 0.3 ms, so a "
+                                   "process pool pays off only from about 200 grid points"),
+    ),
+    "pareto": (), "export": (),
+    "analyze": (_MASS,),
+}
+_CONFIG_KEYS = tuple(dict.fromkeys(row[1] for rows in SETTINGS.values() for row in rows))
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as validation errors (exit 1)."""
@@ -59,19 +101,25 @@ def _read_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise ValidationError(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ValidationError(f"config line {lineno}: {key!r} is not a known key; "
+                                  f"the keys are {', '.join(_CONFIG_KEYS)}")
+        out[key] = value.strip()
     return out
 
 
-def _resolve(explicit, config: dict, key: str, default, cast):
-    if explicit is not None:
-        return explicit
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError:
-            raise ValidationError(f"config key {key}: cannot parse {config[key]!r}") from None
-    return default
+def _fill_settings(args) -> None:
+    """Set each setting whose flag was not given from the config file, or
+    else to its default."""
+    config = _read_config(args.config)
+    for flag, key, cast, default, _ in SETTINGS[args.command]:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            try:
+                setattr(args, dest, cast(config[key]) if key in config else default)
+            except ValueError:
+                raise ValidationError(f"config key {key}: cannot parse {config[key]!r}") from None
 
 
 def _require_input(path: str, what: str) -> Path:
@@ -132,24 +180,18 @@ def _parse_pair(text: str, flag: str, form: str) -> tuple[float, float]:
 
 
 def _cmd_fit(args) -> int:
-    config = _read_config(args.config)
-    degree = _resolve(args.degree, config, "degree", DEFAULT_DEGREE, int)
-    fill = _resolve(args.fill, config, "fill", None, int)
-    excise_text = _resolve(args.excise, config, "excise",
-                           f"{DORSAL_EXCISE_LO}:{DORSAL_EXCISE_HI}", str)
-    window = None if excise_text == "none" else _parse_pair(
-        excise_text, "--excise", "LO:HI or 'none'"
+    window = None if args.excise == "none" else _parse_pair(
+        args.excise, "--excise", "LO:HI or 'none'"
     )
     src = _require_input(args.profile, "profile CSV")
     out = _check_output(args.out)
 
-    samples = load_profile(src, min_rows=max(degree + 2, 4))
+    samples = load_profile(src, min_rows=max(args.degree + 2, 4))
     if window is not None:
-        samples = excise_dorsal(samples, window[0], window[1], min_remaining=degree + 2)
-        if fill is None:
-            fill = DEFAULT_FILL
-    samples = interpolate_gap(samples, fill or 0)
-    upper, lower, report = fit_polynomial(samples, degree)
+        samples = excise_dorsal(samples, *window, min_remaining=args.degree + 2)
+    fill = (0 if window is None else DEFAULT_FILL) if args.fill is None else args.fill
+    samples = interpolate_gap(samples, fill)
+    upper, lower, report = fit_polynomial(samples, args.degree)
     doc = {
         **_CURVES.write((upper, lower)),
         "report": {
@@ -164,37 +206,29 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_skeleton(args) -> int:
-    config = _read_config(args.config)
     out = _check_output(args.out)
     curves = _load_curves(args.curves)
-    if args.preset is not None:
-        spec = skeleton.preset(args.preset)
+    if args.preset is None:
+        h1_h2 = _parse_pair(args.h1h2, "--h1h2", "H1:H2")
+        ratio = 1.0 if args.thickness_ratio is None else args.thickness_ratio
+    elif args.thickness_ratio is not None:
+        raise ValidationError("--preset fixes the thickness ratio; drop --thickness-ratio")
     else:
-        if args.h1h2 is None:
-            raise ValidationError("provide either --preset or --h1h2")
-        spec = skeleton.SkeletonSpec(
-            body_length=_resolve(args.body_length, config, "body_length_m",
-                                 skeleton.DEFAULT_BODY_LENGTH_M, float),
-            head_fraction=_resolve(args.head_fraction, config, "head_fraction",
-                                   skeleton.DEFAULT_HEAD_FRACTION, float),
-            n_ribs=_resolve(args.ribs, config, "n_ribs", skeleton.DEFAULT_N_RIBS, int),
-            h1_h2=_parse_pair(args.h1h2, "--h1h2", "H1:H2"),
-            thickness_first=_resolve(args.thickness_first, config, "thickness_first_mm",
-                                     skeleton.DEFAULT_THICKNESS_FIRST_MM, float),
-            thickness_ratio=args.thickness_ratio if args.thickness_ratio is not None else 1.0,
-        )
+        stock = skeleton.preset(args.preset)
+        h1_h2, ratio = stock.h1_h2, stock.thickness_ratio
+    spec = skeleton.SkeletonSpec(
+        body_length=args.body_length, head_fraction=args.head_fraction, n_ribs=args.ribs,
+        h1_h2=h1_h2, thickness_first=args.thickness_first, thickness_ratio=ratio)
     graph = skeleton.generate_skeleton(spec, *curves)
     _atomic_write(out, skeleton_to_json(graph))
     return 0
 
 
 def _cmd_bend(args) -> int:
-    config = _read_config(args.config)
-    k_ref = _resolve(args.k_ref, config, "k_ref", tendon.DEFAULT_K_REF, float)
     out = _check_output(args.out)
     graph = _load_skeleton(args.skeleton)
     routing = tendon.route_cables(graph)
-    stiffnesses = tendon.stiffnesses_from_graph(graph, k_ref)
+    stiffnesses = tendon.stiffnesses_from_graph(graph, args.k_ref)
     cmd = tendon.ActuationCommand(delta_top=args.delta_top, delta_bottom=args.delta_bottom)
     pose = tendon.bend_from_cables(graph, routing, cmd, stiffnesses)
     doc = {
@@ -205,45 +239,30 @@ def _cmd_bend(args) -> int:
     return 0
 
 
-def _swim_result(args, config) -> SwimResult:
-    amplitude = _resolve(args.amplitude, config, "amplitude_m", tendon.DEFAULT_AMPLITUDE_M, float)
-    frequency = _resolve(args.freq, config, "frequency_hz", tendon.DEFAULT_FREQUENCY_HZ, float)
-    k_ref = _resolve(args.k_ref, config, "k_ref", tendon.DEFAULT_K_REF, float)
-    mass = _resolve(args.mass, config, "mass_kg", energetics.DERIVED_MASS_KG, float)
-    n_samples = _resolve(args.samples, config, "n_samples", hydro.DEFAULT_N_SAMPLES, int)
-
+def _cmd_swim(args) -> int:
     graph = _load_skeleton(args.skeleton)
     body_length = (args.body_length if args.body_length is not None
                    else skeleton.infer_body_length(graph))
     params = hydro.HydroParams()
     if args.hydro is not None:
         params = hydro.HydroParams.from_dict(_load_json(args.hydro, "hydro JSON"))
-    routing = tendon.route_cables(graph)
-    stiffnesses = tendon.stiffnesses_from_graph(graph, k_ref)
-    if args.calibrate_speed is not None:
-        params = hydro.calibrate(
-            graph, routing, stiffnesses, amplitude, frequency, params,
-            args.calibrate_speed, n_samples,
-        )
-    speed = hydro.steady_speed(
-        graph, routing, stiffnesses, amplitude, frequency, params, n_samples
+    history = hydro.sample_kinematics(
+        graph, tendon.route_cables(graph), tendon.stiffnesses_from_graph(graph, args.k_ref),
+        args.amplitude, args.freq, args.samples,
     )
+    if args.calibrate_speed is not None:
+        params = hydro.calibrate_from_history(history, params, args.calibrate_speed)
+    speed = hydro.steady_speed_from_history(history, params)
     if speed <= 0:
         raise ComputationError("predicted speed is zero; cost of transport is undefined")
-    power = energetics.predict_power(PowerModel(), amplitude, frequency)
-    return SwimResult.from_power(speed=speed, power=power, mass=mass, body_length=body_length)
-
-
-def _cmd_swim(args) -> int:
-    config = _read_config(args.config)
-    result = _swim_result(args, config)
+    power = energetics.predict_power(PowerModel(), args.amplitude, args.freq)
+    result = SwimResult.from_power(speed=speed, power=power, mass=args.mass,
+                                   body_length=body_length)
     sys.stdout.write(dump_json(result.to_dict()))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    config = _read_config(args.config)
-    jobs = _resolve(args.jobs, config, "jobs", 1, int)
     if (args.grid is None) == (not args.reference):
         raise ValidationError("provide exactly one of --grid or --reference")
     out = _check_output(args.out)
@@ -254,7 +273,7 @@ def _cmd_sweep(args) -> int:
         records = explorer.reference_records()
     else:
         grid = explorer.DesignGrid.from_dict(_load_json(args.grid, "grid JSON"))
-        records = explorer.run_sweep(grid, jobs=jobs)
+        records = explorer.run_sweep(grid, jobs=args.jobs)
 
     _atomic_write(out, explorer.emit_report(records, "csv"))
     if plot_out is not None:
@@ -279,10 +298,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    config = _read_config(args.config)
-    mass = _resolve(args.mass, config, "mass_kg", energetics.DERIVED_MASS_KG, float)
-    require_finite("mass", mass)
-    if mass <= 0:  # cot() checks it too, but is skipped when the speed is not positive
+    require_finite("mass", args.mass)
+    if args.mass <= 0:  # cot() checks it too, but is skipped when the speed is not positive
         raise ValidationError("mass must be positive")
     power = energetics.average_power(
         energetics.load_power_log(_require_input(args.power_log, "power log CSV"))
@@ -290,14 +307,14 @@ def _cmd_analyze(args) -> int:
     speed = energetics.speed_from_track(
         energetics.load_track(_require_input(args.track, "track CSV"))
     )
-    cot_value = energetics.cot(power, mass, speed) if speed > 0 else None
+    cot_value = energetics.cot(power, args.mass, speed) if speed > 0 else None
     if cot_value is None:
         print("note: non-positive speed, cost of transport undefined", file=sys.stderr)
     sys.stdout.write(dump_json({
         "power_w": power,
         "speed_m_s": speed,
         "speed_mm_s": speed * 1000.0,
-        "mass_kg": mass,
+        "mass_kg": args.mass,
         "cot": cot_value,
     }))
     return 0
@@ -310,87 +327,62 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tailkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p):
-        p.add_argument("--config", help="key = value file overriding built-in defaults")
+    def command(name, func, text):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("fit", help="fit profile contours with high-order polynomials")
+    p = command("fit", _cmd_fit, "fit profile contours with high-order polynomials")
     p.add_argument("--profile", required=True, help="profile CSV (x_m,y_upper_m,y_lower_m)")
-    p.add_argument("--degree", type=int, help=f"fit degree (default {DEFAULT_DEGREE})")
-    p.add_argument("--excise", help="dorsal window LO:HI in meters, or 'none' "
-                                    f"(default {DORSAL_EXCISE_LO}:{DORSAL_EXCISE_HI})")
-    p.add_argument("--fill", type=int, help=f"gap-fill point count (default {DEFAULT_FILL} "
-                                            "when excising, else 0)")
     p.add_argument("--out", required=True, help="output JSON with both curves and fit report")
-    add_config(p)
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("skeleton", help="generate a skeleton graph from design parameters")
-    p.add_argument("--preset", help="stock design name (type1 .. type6)")
-    p.add_argument("--h1h2", help="spine height ratio H1:H2, e.g. 1:2")
-    p.add_argument("--thickness-ratio", type=float, help="first:last rib thickness ratio")
-    p.add_argument("--ribs", type=int, help="rib count")
-    p.add_argument("--body-length", type=float, help="robot body length in meters")
-    p.add_argument("--head-fraction", type=float, help="head share of body length")
-    p.add_argument("--thickness-first", type=float, help="first rib thickness in mm")
+    p = command("skeleton", _cmd_skeleton, "generate a skeleton graph from design parameters")
+    design = p.add_mutually_exclusive_group(required=True)
+    design.add_argument("--preset", help="stock design name (type1 .. type6); it fixes h1:h2 "
+                                         "and the thickness ratio")
+    design.add_argument("--h1h2", help="spine height ratio H1:H2, e.g. 1:2")
+    p.add_argument("--thickness-ratio", type=float,
+                   help="first:last rib thickness ratio, with --h1h2 (default 1)")
     p.add_argument("--curves", help="fit JSON from 'tailkit fit' (default: bundled profile)")
     p.add_argument("--out", required=True, help="output skeleton JSON")
-    add_config(p)
-    p.set_defaults(func=_cmd_skeleton)
 
-    p = sub.add_parser("bend", help="solve the pose for commanded cable shortenings")
+    p = command("bend", _cmd_bend, "solve the pose for commanded cable shortenings")
     p.add_argument("--skeleton", required=True, help="skeleton JSON")
     p.add_argument("--delta-top", type=float, required=True, help="top shortening, m")
     p.add_argument("--delta-bottom", type=float, required=True, help="bottom shortening, m")
-    p.add_argument("--k-ref", type=float, help="reference joint stiffness, N*m/rad")
     p.add_argument("--out", required=True, help="output pose JSON")
-    add_config(p)
-    p.set_defaults(func=_cmd_bend)
 
-    p = sub.add_parser("swim", help="predict cruise speed, power and COT for a skeleton")
+    p = command("swim", _cmd_swim, "predict cruise speed, power and COT for a skeleton")
     p.add_argument("--skeleton", required=True, help="skeleton JSON")
-    p.add_argument("--amplitude", type=float, help="cable stroke amplitude, m")
-    p.add_argument("--freq", type=float, help="actuation frequency, Hz")
     p.add_argument("--calibrate-speed", type=float, help="calibrate drag to hit this speed, m/s")
-    p.add_argument("--mass", type=float, help="robot mass, kg (default: derived)")
     p.add_argument("--body-length", type=float, help="body length, m (default: inferred)")
     p.add_argument("--hydro", help="hydro parameter JSON")
-    p.add_argument("--k-ref", type=float, help="reference joint stiffness, N*m/rad")
-    p.add_argument("--samples", type=int, help="kinematics samples per period")
-    add_config(p)
-    p.set_defaults(func=_cmd_swim)
 
-    p = sub.add_parser("sweep", help="evaluate a design grid (or emit reference records)")
+    p = command("sweep", _cmd_sweep, "evaluate a design grid (or emit reference records)")
     p.add_argument("--grid", help="design grid JSON")
     p.add_argument("--reference", action="store_true",
                    help="emit the bundled measured reference records instead of simulating")
     p.add_argument("--out", required=True, help="output report CSV")
-    p.add_argument("--jobs", type=int,
-                   help="worker processes (default 1: a design takes about 0.3 ms, "
-                        "so a process pool pays off only from about 200 grid points)")
     p.add_argument("--plot-out", help="also write speed/COT scatter CSV here")
     p.add_argument("--json-out", help="also write the lossless JSON report here")
-    add_config(p)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("pareto", help="extract the speed/COT Pareto front from a report CSV")
+    p = command("pareto", _cmd_pareto, "extract the speed/COT Pareto front from a report CSV")
     p.add_argument("--records", required=True, help="report CSV from 'tailkit sweep'")
     p.add_argument("--out", required=True, help="output CSV with front rows only")
-    add_config(p)
-    p.set_defaults(func=_cmd_pareto)
 
-    p = sub.add_parser("export", help="render a skeleton to printable SVG")
+    p = command("export", _cmd_export, "render a skeleton to printable SVG")
     p.add_argument("--skeleton", required=True, help="skeleton JSON")
     p.add_argument("--svg", required=True, help="output SVG path")
-    add_config(p)
-    p.set_defaults(func=_cmd_export)
 
-    p = sub.add_parser("analyze", help="average power, speed and COT from measured logs")
+    p = command("analyze", _cmd_analyze, "average power, speed and COT from measured logs")
     p.add_argument("--power-log", required=True, help="CSV with t_s,voltage_v,current_a")
     p.add_argument("--track", required=True, help="CSV with t_s,x_m")
-    p.add_argument("--mass", type=float, help="robot mass, kg (default: derived)")
-    add_config(p)
-    p.set_defaults(func=_cmd_analyze)
 
+    for name, p in sub.choices.items():
+        for flag, key, cast, default, text in SETTINGS[name]:
+            shown = "" if default is None else f"default {default}, "
+            p.add_argument(flag, type=cast, help=f"{text} ({shown}config key {key})")
+        p.add_argument("--config", help="'key = value' file of settings; a flag beats its key")
     return parser
 
 
@@ -398,6 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _fill_settings(args)
         return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -40,7 +40,8 @@ TRACK_CSV_HEADER = ("t_s", "x_m")
 @dataclass(frozen=True)
 class PowerModel:
     """Interpolates electrical power between the idle and full-actuation
-    operating points: P = p_idle + (p_full - p_idle) * (A/A_ref)**exponent * (f/f_ref)."""
+    operating points: P = p_idle + (p_full - p_idle) * (A/A_ref)**exponent * (f/f_ref),
+    with f_ref = DEFAULT_F_REF_HZ."""
 
     p_idle: float = P_IDLE_W
     p_actuation_full: float = P_ACTUATION_FULL_W
@@ -170,17 +171,13 @@ def runtime_hours(battery_wh: float, power_w: float) -> float:
     return battery_wh / power_w
 
 
-def predict_power(
-    model: PowerModel, amplitude: float, frequency: float, f_ref: float = DEFAULT_F_REF_HZ
-) -> float:
+def predict_power(model: PowerModel, amplitude: float, frequency: float) -> float:
     """Electrical power estimate for an actuation setting, W."""
     if amplitude < 0 or frequency < 0:
         raise ValidationError("amplitude and frequency cannot be negative")
-    if f_ref <= 0:
-        raise ValidationError("f_ref must be positive")
     span = model.p_actuation_full - model.p_idle
     return model.p_idle + span * (amplitude / model.amplitude_ref) ** model.exponent * (
-        frequency / f_ref
+        frequency / DEFAULT_F_REF_HZ
     )
 
 

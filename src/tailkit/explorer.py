@@ -36,7 +36,7 @@ from .profile import (
     interpolate_gap,
     load_reference_profile,
 )
-from .skeleton import SkeletonSpec, six_presets
+from .skeleton import PRESET_NAMES, SkeletonSpec, six_presets
 from .tendon import (
     DEFAULT_AMPLITUDE_M,
     DEFAULT_FREQUENCY_HZ,
@@ -65,16 +65,16 @@ SOURCE_REFERENCE = "paper-reference"
 REPORT_COLUMNS = ("label", "h1", "h2", "thickness_ratio", "n_ribs", "speed_mm_s", "speed_bl_s",
                   "power_w", "mass_kg", "cot", "pareto", "source")
 
-# Measured swim metrics of the six stock skeleton types (speed mm/s,
-# speed bl/s, COT). Mass and per-row power are derived from these via
-# COT = P/(m*v), not measured.
+# Measured swim metrics of the six stock skeleton types, in
+# ``skeleton.PRESET_NAMES`` order: (speed mm/s, speed bl/s, COT). Mass and
+# per-row power are derived from these via COT = P/(m*v), not measured.
 REFERENCE_MEASUREMENTS = (
-    ("type1", (1.0, 1.0), 1.0, 133.5607, 0.411, 146.0),
-    ("type2", (1.0, 1.0), 2.0, 125.4027, 0.386, 136.0),
-    ("type3", (1.0, 1.0), 3.0, 127.8671, 0.393, 136.0),
-    ("type4", (1.0, 2.0), 1.0, 163.1813, 0.502, 95.0),
-    ("type5", (1.0, 2.0), 2.0, 86.8601, 0.267, 175.0),
-    ("type6", (1.0, 2.0), 3.0, 78.7879, 0.243, 193.0),
+    (133.5607, 0.411, 146.0),
+    (125.4027, 0.386, 136.0),
+    (127.8671, 0.393, 136.0),
+    (163.1813, 0.502, 95.0),
+    (86.8601, 0.267, 175.0),
+    (78.7879, 0.243, 193.0),
 )
 
 
@@ -151,14 +151,6 @@ _GRID_FIELDS = Fields(
     ("actuation", "actuation", Fields(check_actuation, ("amplitude", "amplitude_m", number),
                                       ("frequency", "frequency_hz", number))),
     ("hydro", "hydro", HYDRO_FIELDS), ("power", "power", POWER_FIELDS), defaults=True)
-
-
-def spec_to_dict(spec: SkeletonSpec) -> dict:
-    return _SPEC_FIELDS.write(spec)
-
-
-def spec_from_dict(d) -> SkeletonSpec:
-    return _SPEC_FIELDS(d, "skeleton spec JSON: $")
 
 
 @lru_cache(maxsize=1)
@@ -315,11 +307,9 @@ def reference_records() -> list[DesignRecord]:
     internally consistent.
     """
     records = []
-    specs = six_presets()
-    for (label, h1h2, ratio, speed_mm, bl_s, cot_val), spec in zip(
-        REFERENCE_MEASUREMENTS, specs
+    for label, spec, (speed_mm, bl_s, cot_val) in zip(
+        PRESET_NAMES, six_presets(), REFERENCE_MEASUREMENTS, strict=True
     ):
-        assert spec.h1_h2 == h1h2 and spec.thickness_ratio == ratio
         speed = speed_mm / 1000.0
         result = SwimResult(
             speed=speed,

@@ -244,7 +244,16 @@ def calibrate(
     target_speed: float,
     n_samples: int = DEFAULT_N_SAMPLES,
 ) -> HydroParams:
-    """Set drag_coeff so the predicted speed hits a measured one.
+    """Set drag_coeff so the predicted speed hits a measured one
+    (``calibrate_from_history`` of the sampled period)."""
+    history = sample_kinematics(graph, routing, stiffnesses, amplitude, frequency, n_samples)
+    return calibrate_from_history(history, params, target_speed)
+
+
+def calibrate_from_history(
+    history: MidlineHistory, params: HydroParams, target_speed: float
+) -> HydroParams:
+    """Set drag_coeff so the speed from ``history`` hits a measured one.
 
     At the target U*, drag must equal the thrust A - B*U*^2 left over, so
     Cd = 2 * (A - B*U*^2) / (rho * frontal_area * U*^2) in closed form.
@@ -252,8 +261,6 @@ def calibrate(
     if not (target_speed > 0 and 0 < target_speed * target_speed < math.inf):
         raise ValidationError("calibration target speed must be positive, with a finite "
                               "nonzero square")
-    history = sample_kinematics(graph, routing, stiffnesses, amplitude, frequency, n_samples)
-
     a, b = _thrust_coefficients(history, params)
     if a <= 0:
         raise ComputationError("design produces no thrust; cannot calibrate")

@@ -561,9 +561,12 @@ def cable_lengths(
 
 
 def check_actuation(amplitude: float, frequency: float) -> tuple[float, float]:
-    """(amplitude, frequency), if finite with frequency > 0 and amplitude >= 0."""
+    """(amplitude, frequency), if finite with frequency > 0, 2*pi*frequency
+    finite and amplitude >= 0."""
     if not (math.isfinite(frequency) and frequency > 0):
         raise ValidationError("frequency must be finite and positive")
+    if not math.isfinite(2.0 * math.pi * frequency):
+        raise ValidationError(f"frequency {frequency!r} Hz is too high: 2*pi*f overflows")
     if not (math.isfinite(amplitude) and amplitude >= 0):
         raise ValidationError("amplitude must be finite and nonnegative")
     return amplitude, frequency

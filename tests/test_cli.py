@@ -15,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tailkit
-from tailkit import explorer
-from tailkit.cli import build_parser, main
+from tailkit import explorer, hydro
+from tailkit.cli import SETTINGS, build_parser, main
 from tailkit.export import skeleton_from_json
 from tailkit.hydro import HydroParams
 from tailkit.profile import reference_profile_path
@@ -57,6 +57,30 @@ class TestSkeletonCommand:
         code = main(["skeleton", "--h1h2", "1:2", "--thickness-ratio", "nan", "--out", str(out)])
         assert code == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_preset_takes_the_design_flags(self, tmp_path):
+        # a preset fixes h1:h2 and the taper only
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        run_ok(["skeleton", "--preset", "type4", "--ribs", "10", "--out", str(a)])
+        run_ok(["skeleton", "--h1h2", "1:2", "--thickness-ratio", "1", "--ribs", "10",
+                "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_preset_takes_the_config(self, tmp_path):
+        config, out = tmp_path / "tailkit.cfg", tmp_path / "skel.json"
+        config.write_text("n_ribs = 4\n")
+        run_ok(["skeleton", "--preset", "type4", "--config", str(config), "--out", str(out)])
+        assert len(skeleton_from_json(out.read_text()).ribs) == 4
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--h1h2", "1:2"], "argument --h1h2: not allowed with argument --preset"),
+        (["--thickness-ratio", "1"], "--preset fixes the thickness ratio; drop --thickness-ratio"),
+    ])
+    def test_preset_with_a_design_ratio_exits_1(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "skel.json"
+        assert main(["skeleton", "--preset", "type4", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_byte_identical_runs(self, tmp_path):
@@ -236,6 +260,18 @@ class TestSwimCommand:
         assert named in captured.err
         assert captured.out == ""
 
+    def test_calibrated_swim_samples_the_period_once(self, skel4, capsys, monkeypatch):
+        calls = []
+        solve = hydro.bend_antagonistic_stack
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(hydro, "bend_antagonistic_stack", counting)
+        run_ok(["swim", "--skeleton", str(skel4), "--calibrate-speed", "0.163181"])
+        assert len(calls) == 1
+
     def test_plain_swim_has_all_fields(self, skel4, capsys):
         run_ok(["swim", "--skeleton", str(skel4)])
         doc = json.loads(capsys.readouterr().out)
@@ -383,6 +419,8 @@ class TestStrictJsonInput:
          "grid JSON: $.actuation: frequency must be finite and positive"),
         ('{"actuation": {"amplitude_m": -0.008, "frequency_hz": 1.5}}',
          "grid JSON: $.actuation: amplitude must be finite and nonnegative"),
+        ('{"actuation": {"amplitude_m": 0.008, "frequency_hz": 1e308}}',
+         "grid JSON: $.actuation: frequency 1e+308 Hz is too high: 2*pi*f overflows"),
     ])
     def test_grid(self, tmp_path, capsys, doc, message):
         grid = tmp_path / "grid.json"
@@ -511,8 +549,10 @@ class TestCliBehavior:
         (["swim", "--skeleton", "{type4}", "--freq", "1e300"], 2, "thrust estimate overflows"),
         (["swim", "--skeleton", "{type4}", "--freq", "1e160", "--calibrate-speed", "0.163"], 2,
          "thrust estimate overflows"),
+        (["swim", "--skeleton", "{type4}", "--freq", "1e308"], 1,
+         "frequency 1e+308 Hz is too high: 2*pi*f overflows"),
     ], ids=["spine-share-1", "last-rib-inf", "swim-stiffness-overflow", "bend-stiffness-overflow",
-            "swim-thrust-overflow", "calibrate-thrust-overflow"])
+            "swim-thrust-overflow", "calibrate-thrust-overflow", "angular-frequency-overflow"])
     def test_degenerate_input_gives_one_error_line(self, skel4, tmp_path, capsys, argv, code,
                                                    named):
         # a skeleton whose ribs thicken 1e120-fold: its stiffnesses overflow a double
@@ -537,6 +577,17 @@ class TestCliBehavior:
         out = capsys.readouterr().out
         assert "--help" in out or "usage" in out
 
+    @pytest.mark.parametrize("command", sorted(SETTINGS))
+    def test_help_shows_each_setting(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for flag, key, _, default, _ in SETTINGS[command]:
+            shown = "" if default is None else f"default {default}, "
+            assert f"{shown}config key {key})" in help_text
+            assert f"{flag} " in help_text
+        assert "--config" in help_text
+
     def test_config_overrides_default(self, skel4, tmp_path, capsys):
         config = tmp_path / "tailkit.cfg"
         config.write_text("# defaults for bench runs\namplitude_m = 0.002\n")
@@ -559,6 +610,29 @@ class TestCliBehavior:
         config = tmp_path / "tailkit.cfg"
         config.write_text("amplitude_m: 0.002\n")
         assert main(["swim", "--skeleton", str(skel4), "--config", str(config)]) == 1
+
+    def test_unknown_config_key_exits_1(self, skel4, tmp_path, capsys):
+        config = tmp_path / "tailkit.cfg"
+        config.write_text("# misspelt amplitude_m\namplitude = 0.002\n")
+        assert main(["swim", "--skeleton", str(skel4), "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config line 2: 'amplitude' is not a known key; "
+                                       "the keys are ")
+        assert captured.err.count("\n") == 1
+        known = {row[1] for rows in SETTINGS.values() for row in rows}
+        assert set(captured.err.rstrip().rpartition("the keys are ")[2].split(", ")) == known
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["pareto", "export"])
+    def test_missing_config_file_exits_1(self, skel4, tmp_path, capsys, command):
+        report, out = tmp_path / "report.csv", tmp_path / "out"
+        run_ok(["sweep", "--reference", "--out", str(report)])
+        argv = {"pareto": ["pareto", "--records", str(report), "--out", str(out)],
+                "export": ["export", "--skeleton", str(skel4), "--svg", str(out)]}[command]
+        missing = tmp_path / "missing.cfg"
+        assert main([*argv, "--config", str(missing)]) == 1
+        assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flags, name", [
         ("swim", ["--k-ref", "nan"], "k_ref"),
@@ -725,7 +799,7 @@ _DOCUMENTS = {
     "track": ["t_s,x_m\n0,0\n1,0.16\n", "t_s,x_m\n0,0\n", "t_s,x_m\n0,0\n1,-0.1\n"],
     "config": ["n_ribs = 4\nk_ref = 0.05\njobs = 1\n", "degree = 5\nexcise = none\n",
                "mass_kg = 2\namplitude_m = 0.003\n", "just words\n", "n_ribs = x\n",
-               "n_samples = 8\n", "frequency_hz = nan\n", "jobs = 0\n"],
+               "n_samples = 8\n", "frequency_hz = nan\n", "jobs = 0\n", "amplitude = 0.002\n"],
 }
 # Each subcommand's flags: (the pool its values come from, a value that works
 # or None for an input kind's valid document or a fresh output path, whether

@@ -31,11 +31,20 @@ from tailkit.explorer import (
     parse_report_json,
     reference_records,
     run_sweep,
-    spec_from_dict,
-    spec_to_dict,
 )
 from tailkit.skeleton import SkeletonSpec, generate_skeleton
 from tailkit.tendon import ActuationCommand, TailPose, bend_from_cables
+
+
+def _spec_doc(spec: SkeletonSpec) -> dict:
+    """A spec as grid and report JSON write it."""
+    return DesignGrid(base_spec=spec).to_dict()["base_spec"]
+
+
+def _report_doc(spec: SkeletonSpec) -> list:
+    """The JSON report of one failed design with ``spec``."""
+    record = DesignRecord(label="x", spec=spec, result=None, error="failed")
+    return json.loads(emit_report([record], "json"))
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +74,10 @@ class TestGrid:
         assert DesignGrid.from_dict(json.loads(json.dumps(small_grid.to_dict()))) == small_grid
 
     def test_spec_dict_round_trip(self):
+        # a spec is written and read as a grid's base_spec and as a report row's spec
         spec = SkeletonSpec(h1_h2=(1.0, 2.0), thickness_ratio=2.5, n_ribs=7)
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+        assert DesignGrid.from_dict({"base_spec": _spec_doc(spec)}).base_spec == spec
+        assert parse_report_json(json.dumps(_report_doc(spec)))[0].spec == spec
 
     @pytest.mark.parametrize("value", [6.9, "6", True])
     def test_rib_count_is_never_truncated(self, value):
@@ -75,20 +86,25 @@ class TestGrid:
             DesignGrid.from_dict(grid)
         assert str(caught.value) == (
             f"grid JSON: $.n_ribs_values[1] must be a whole number, got {value!r}")
-        spec = {**spec_to_dict(SkeletonSpec()), "n_ribs": value}
-        with pytest.raises(ValidationError) as caught:
-            spec_from_dict(spec)
-        assert str(caught.value) == (
-            f"skeleton spec JSON: $.n_ribs must be a whole number, got {value!r}")
+        spec = {**_spec_doc(SkeletonSpec()), "n_ribs": value}
         with pytest.raises(ValidationError) as caught:
             DesignGrid.from_dict({"base_spec": spec})
         assert str(caught.value) == (
             f"grid JSON: $.base_spec.n_ribs must be a whole number, got {value!r}")
+        rows = _report_doc(SkeletonSpec())
+        rows[0]["spec"] = spec
+        with pytest.raises(ValidationError) as caught:
+            parse_report_json(json.dumps(rows))
+        assert str(caught.value) == (
+            f"report JSON: $[0].spec.n_ribs must be a whole number, got {value!r}")
 
     def test_integral_float_rib_count_accepted(self):
         assert DesignGrid.from_dict({"n_ribs_values": [4, 6.0]}).n_ribs_values == (4, 6)
-        spec = {**spec_to_dict(SkeletonSpec()), "n_ribs": 7.0}
-        assert spec_from_dict(spec) == SkeletonSpec(n_ribs=7)
+        spec = {**_spec_doc(SkeletonSpec()), "n_ribs": 7.0}
+        assert DesignGrid.from_dict({"base_spec": spec}).base_spec == SkeletonSpec(n_ribs=7)
+        rows = _report_doc(SkeletonSpec())
+        rows[0]["spec"] = spec
+        assert parse_report_json(json.dumps(rows))[0].spec == SkeletonSpec(n_ribs=7)
 
     def test_pinned_labels(self):
         grid = DesignGrid(h1_h2_values=((1.0, 1.0), (1.0, 1.25)), thickness_ratios=(2.0, 0.125),
@@ -115,7 +131,7 @@ class TestGrid:
     @pytest.mark.parametrize("doc, named", [
         ({"h1_h2_values": [[-1, 1]]}, "h1_h2_values (-1.0, 1.0): h1 and h2 must be positive"),
         ({"h1_h2_values": [[1, 1], [1e-20, 1]]}, "h1_h2_values (1e-20, 1.0): h1:h2 1e-20:1 "),
-        ({"base_spec": spec_to_dict(SkeletonSpec(thickness_first=1e-300)),
+        ({"base_spec": _spec_doc(SkeletonSpec(thickness_first=1e-300)),
           "thickness_ratios": [1, 1e300]}, "thickness_ratios 1e+300: last rib thickness"),
         ({"n_ribs_values": [4, 1]}, "n_ribs_values 1: need at least 2 ribs"),
     ], ids=["negative-h1", "spine-above-top", "thickness-underflow", "one-rib"])

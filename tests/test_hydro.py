@@ -11,6 +11,7 @@ from tailkit.hydro import (
     HydroParams,
     MidlineHistory,
     calibrate,
+    calibrate_from_history,
     drag_force,
     mean_thrust,
     sample_kinematics,
@@ -279,6 +280,9 @@ class TestCalibrate:
     def test_hits_target_exactly(self, type4_history, calibrated):
         speed = steady_speed_from_history(type4_history, calibrated)
         assert speed == pytest.approx(0.163181, rel=1e-12)
+
+    def test_equals_calibration_from_the_sampled_history(self, type4_history, calibrated):
+        assert calibrate_from_history(type4_history, HydroParams(), 0.163181) == calibrated
 
     def test_fixed_point(self, type4_design, type4_history, calibrated):
         _, graph, routing, stiffnesses = type4_design

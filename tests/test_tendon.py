@@ -623,6 +623,12 @@ class TestWaveform:
         with pytest.raises(ValidationError):
             actuation_waveform(0.001, 0.0, 0.0)
 
+    @pytest.mark.parametrize("frequency", [1e308, 3e307])
+    def test_frequency_whose_angular_frequency_overflows_rejected(self, frequency):
+        with pytest.raises(ValidationError) as caught:
+            actuation_waveform(0.001, frequency, 0.0)
+        assert str(caught.value) == f"frequency {frequency!r} Hz is too high: 2*pi*f overflows"
+
     def test_command_dict_round_trip(self):
         cmd = actuation_waveform(0.006, 1.5, 0.123)
         doc = cmd.to_dict()
