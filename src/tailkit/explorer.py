@@ -2,11 +2,12 @@
 
 A sweep walks the Cartesian grid of (h1:h2, thickness ratio, rib count),
 evaluates each design with the calibrated hydro surrogate and the power
-model, and collects one record per grid point. Designs with the same rib
-count are evaluated in stacks that share one bend solve, and worker
-processes, if any, take whole stacks. Failed points become
-error records: they stay in reports (with the reason, in the JSON form)
-but never abort the sweep and are excluded from Pareto analysis.
+model, and collects one record per grid point. The points, sorted by rib
+count, are evaluated in chunks that share one bend solve whatever their
+rib counts, and worker processes, if any, take whole chunks. Failed
+points become error records: they stay in reports (with the reason, in
+the JSON form) but never abort the sweep and are excluded from Pareto
+analysis.
 
 Simulated numbers and the bundled measured reference values for the six
 stock skeleton types must never be conflated, so every record carries a
@@ -42,12 +43,12 @@ from .tendon import (
     DEFAULT_FREQUENCY_HZ,
     Chain,
     check_actuation,
-    segment_stiffnesses,
+    stack_stiffnesses,
 )
 
-# Designs of one rib count are evaluated together, at most this many per
-# stacked bend solve: the time per design stops falling at 8 to 16 designs,
-# while a stack's arrays keep growing with it.
+# A sweep's designs, sorted by rib count, are evaluated together, at most
+# this many per bend solve whatever their rib counts: the time per design
+# stops falling at 8 to 16 designs, while a chunk's arrays keep growing.
 STACK_SIZE = 16
 
 # Each grid axis with the spec field it sets, its label prefix and value
@@ -170,13 +171,19 @@ def _evaluate_specs(
     curves: tuple[PolyCurve, PolyCurve],
     mass: float = DERIVED_MASS_KG,
 ) -> list[SwimResult]:
-    """``evaluate_design`` of specs with one rib count, as one stack: one
-    chain for all designs straight from their rib stations, without a
-    skeleton graph, one stacked kinematics solve, and every speed from the
-    stacked midlines; raises whenever a design alone would."""
-    chain = Chain.from_specs(specs, *curves)
-    stiffnesses = [segment_stiffnesses(spec) for spec in specs]
-    speeds = steady_speeds(sample_kinematics_stack(chain, stiffnesses, amplitude, frequency), hydro)
+    """``evaluate_design`` of specs, as one chunk: the specs of each rib
+    count get one chain straight from their rib stations, without a skeleton
+    graph, and one stiffness computation; one kinematics solve serves every
+    chain, and every speed comes from the stacked midlines; raises whenever
+    a design alone would."""
+    order = sorted(range(len(specs)), key=lambda i: specs[i].n_ribs)
+    groups = [[specs[i] for i in run]
+              for _, run in itertools.groupby(order, key=lambda i: specs[i].n_ribs)]
+    histories = sample_kinematics_stack([Chain.from_specs(group, *curves) for group in groups],
+                                        list(map(stack_stiffnesses, groups)), amplitude, frequency)
+    speeds = [0.0] * len(specs)
+    for i, speed in zip(order, steady_speeds(histories, hydro)):
+        speeds[i] = speed
     watts = predict_power(power, amplitude, frequency)
     return [
         SwimResult.from_power(speed=speed, power=watts, mass=mass, body_length=spec.body_length)
@@ -218,10 +225,10 @@ def _evaluate_point(args) -> DesignRecord:
 
 
 def _evaluate_stack(tasks: list[tuple]) -> list[DesignRecord]:
-    """``_evaluate_point`` of each task, for tasks that share a rib count and
-    their evaluation context, with one stacked kinematics solve. If any step
-    raises, every point is evaluated alone, so each error record keeps the
-    exact text ``_evaluate_point`` gives it."""
+    """``_evaluate_point`` of each task, for tasks that share their
+    evaluation context, with one kinematics solve. If any step raises, every
+    point is evaluated alone, so each error record keeps the exact text
+    ``_evaluate_point`` gives it."""
     try:
         results = _evaluate_specs([task[1] for task in tasks], *tasks[0][2:])
     except Exception:
@@ -240,25 +247,20 @@ def run_sweep(
     """Evaluate every grid point; output is sorted by label, so results
     do not depend on the evaluation schedule.
 
-    Points with the same rib count are evaluated in stacks of at most
-    ``STACK_SIZE`` designs, one stacked bend solve each; with ``jobs`` > 1
-    the stacks are spread over that many worker processes.
+    The points, sorted by rib count, are cut into chunks of at most
+    ``STACK_SIZE`` designs, one bend solve each, whatever their rib counts;
+    with ``jobs`` > 1 and more than one chunk, the chunks are spread over
+    up to that many worker processes, one per chunk at most.
     """
     resolved = curves if curves is not None else default_curves()
     amplitude, frequency = grid.actuation
-    by_ribs: dict[int, list[tuple]] = {}
-    for label, spec in _grid_points(grid):
-        by_ribs.setdefault(spec.n_ribs, []).append(
-            (label, spec, amplitude, frequency, grid.hydro, grid.power, resolved)
-        )
-    stacks = [
-        tasks[i:i + STACK_SIZE]
-        for tasks in by_ribs.values()
-        for i in range(0, len(tasks), STACK_SIZE)
-    ]
-    if jobs > 1:
+    tasks = sorted(((label, spec, amplitude, frequency, grid.hydro, grid.power, resolved)
+                    for label, spec in _grid_points(grid)), key=lambda task: task[1].n_ribs)
+    stacks = [tasks[i:i + STACK_SIZE] for i in range(0, len(tasks), STACK_SIZE)]
+    workers = min(jobs, len(stacks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_evaluate_stack, stacks))
     else:
         done = [_evaluate_stack(stack) for stack in stacks]

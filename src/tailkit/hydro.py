@@ -16,11 +16,11 @@ speed follows just as directly.
 
 The kinematics come from one batched bend solve over all actuation
 phases (``tendon.bend_antagonistic``) as a (phases, stations, 2) array.
-``sample_kinematics_stack`` solves the phases of several designs with the
-same joint count in one call, from their stacked ``tendon.Chain``, as a
-sweep does; its history carries a leading design axis, and
+``sample_kinematics_stack`` solves the phases of a sweep chunk's designs,
+whatever their joint counts, in one call, from one stacked ``tendon.Chain``
+per joint count; each chain's history carries a leading design axis, and
 ``steady_speeds`` takes every design's thrust coefficients and speed from
-it in one pass.
+the chunk's histories in one pass.
 
 This is a desk-scale surrogate, not a flow solver: absolute speeds are
 meaningful only after calibrating the drag coefficient against a
@@ -123,29 +123,30 @@ def sample_kinematics(
 ) -> MidlineHistory:
     """Solve the bend pose at uniform phases over one actuation period."""
     return sample_kinematics_stack(
-        Chain.from_graph(graph, routing), stiffnesses, amplitude, frequency, n_samples
-    )
+        [Chain.from_graph(graph, routing)], [stiffnesses], amplitude, frequency, n_samples
+    )[0]
 
 
 def sample_kinematics_stack(
-    chain: Chain,
+    chains,
     stiffnesses,
     amplitude: float,
     frequency: float,
     n_samples: int = DEFAULT_N_SAMPLES,
-) -> MidlineHistory:
-    """``sample_kinematics`` of each design of a stacked ``tendon.Chain``, with
-    stiffnesses (designs, n_seg), from one stacked bend solve
-    (``tendon.bend_antagonistic_stack``); design i's midlines in the one
-    history equal, bit for bit, those of its history alone."""
+) -> list[MidlineHistory]:
+    """``sample_kinematics`` of each design of a chunk: ``chains`` holds one
+    stacked ``tendon.Chain`` per joint count, with stiffnesses (designs,
+    n_seg) each, all solved in one bend solve
+    (``tendon.bend_antagonistic_stack``). Returns one history per chain;
+    design i's midlines in it equal, bit for bit, those of its history alone."""
     if n_samples < 16:
         raise ValidationError("need at least 16 samples per period")
     check_actuation(amplitude, frequency)
     period = 1.0 / frequency
     times = np.array([period * j / n_samples for j in range(n_samples)])
     deltas = [waveform_delta(amplitude, frequency, t) for t in times.tolist()]
-    _, midlines = bend_antagonistic_stack(chain, stiffnesses, deltas)
-    return MidlineHistory(times=times, midlines=midlines, period=period)
+    return [MidlineHistory(times=times, midlines=midlines, period=period)
+            for _, midlines in bend_antagonistic_stack(chains, stiffnesses, deltas)]
 
 
 def _trailing_edge_series(history: MidlineHistory) -> tuple[np.ndarray, np.ndarray]:
@@ -165,11 +166,13 @@ def _trailing_edge_series(history: MidlineHistory) -> tuple[np.ndarray, np.ndarr
     return hdot, hx
 
 
-def _thrust_coefficients(history: MidlineHistory, params: HydroParams):
-    """A and B of the mean thrust A - B*U**2: floats, or lists for a stack."""
+def _thrust_coefficients(histories, params: HydroParams):
+    """A and B of the mean thrust A - B*U**2 of the designs of ``histories``:
+    floats for one design's history, else lists, design after design."""
     m_a = params.rho * math.pi * params.tip_span**2 / 4.0 * params.added_mass_coeff
+    series = zip(*map(_trailing_edge_series, histories))
     with np.errstate(over="ignore"):  # an overflow is refused below, once per call
-        a, b = (0.5 * m_a * np.mean(v**2, axis=-1) for v in _trailing_edge_series(history))
+        a, b = (0.5 * m_a * np.mean(np.concatenate(v) ** 2, axis=-1) for v in series)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ComputationError("thrust estimate overflows: the trailing edge moves too fast")
     return a.tolist(), b.tolist()
@@ -183,7 +186,7 @@ def mean_thrust(history: MidlineHistory, speed: float, params: HydroParams) -> f
     """
     if speed < 0:
         raise ValidationError("forward speed cannot be negative")
-    a, b = _thrust_coefficients(history, params)
+    a, b = _thrust_coefficients([history], params)
     return a - b * speed**2
 
 
@@ -196,13 +199,14 @@ def drag_force(speed: float, params: HydroParams) -> float:
 
 def steady_speed_from_history(history: MidlineHistory, params: HydroParams) -> float:
     """Speed where thrust A - B*U**2 meets drag D*U**2: sqrt(A / (B + D))."""
-    return _balance_speed(*_thrust_coefficients(history, params), params)
+    return _balance_speed(*_thrust_coefficients([history], params), params)
 
 
-def steady_speeds(history: MidlineHistory, params: HydroParams) -> list[float]:
-    """``steady_speed_from_history`` of each design of a stacked history
-    (``sample_kinematics_stack``), with its checks applied to each."""
-    return [_balance_speed(a, b, params) for a, b in zip(*_thrust_coefficients(history, params))]
+def steady_speeds(histories, params: HydroParams) -> list[float]:
+    """``steady_speed_from_history`` of each design of a chunk's stacked
+    histories (``sample_kinematics_stack``), design after design, from one
+    pass over them all, with its checks applied to each."""
+    return [_balance_speed(a, b, params) for a, b in zip(*_thrust_coefficients(histories, params))]
 
 
 def _balance_speed(a: float, b: float, params: HydroParams) -> float:
@@ -261,7 +265,7 @@ def calibrate_from_history(
     if not (target_speed > 0 and 0 < target_speed * target_speed < math.inf):
         raise ValidationError("calibration target speed must be positive, with a finite "
                               "nonzero square")
-    a, b = _thrust_coefficients(history, params)
+    a, b = _thrust_coefficients([history], params)
     if a <= 0:
         raise ComputationError("design produces no thrust; cannot calibrate")
     # the drag-free ceiling sqrt(A/B) bounds what any positive drag_coeff can reach

@@ -178,7 +178,10 @@ def excise_dorsal(
 
 def _find_gap(xs: np.ndarray) -> tuple[int, float, float]:
     spacings = np.diff(xs)
-    median = float(np.median(spacings))
+    # np.median's bits from a sort (np.median would load numpy.ma)
+    ranked = np.sort(spacings).tolist()
+    mid = len(ranked) // 2
+    median = ranked[mid] if len(ranked) % 2 else (ranked[mid - 1] + ranked[mid]) / 2
     i = int(np.argmax(spacings))
     if spacings[i] <= 2.0 * median:
         raise ValidationError("upper contour has no gap to interpolate")
@@ -267,7 +270,8 @@ def interpolate_gap(samples: ProfileSamples, n_fill: int) -> ProfileSamples:
 
 def _lstsq_poly(x_norm: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
     """Least-squares monomial coefficients on [0, 1] via a Chebyshev solve."""
-    if len(np.unique(x_norm)) < degree + 1:
+    # distinct values of the finite x, sorted (np.unique would load numpy.ma)
+    if 1 + np.count_nonzero(np.diff(np.sort(x_norm))) < degree + 1:
         raise ComputationError("rank-deficient fit: fewer distinct x values than coefficients")
     t = 2.0 * x_norm - 1.0
     design = _cheb.chebvander(t, degree)

@@ -144,13 +144,36 @@ def rib_thicknesses(spec: SkeletonSpec) -> list[float]:
     linspace keeps both endpoints exact, which downstream stiffness
     ratios rely on.
     """
-    t_last = spec.thickness_first / spec.thickness_ratio
-    return [float(t) for t in np.linspace(spec.thickness_first, t_last, spec.n_ribs)]
+    return taper_thicknesses([spec])[0].tolist()
+
+
+def taper_thicknesses(specs) -> np.ndarray:
+    """``rib_thicknesses`` of specs of one rib count, (designs, n_ribs), from
+    one np.linspace call with array endpoints. linspace takes another branch
+    for every row once one row's step is zero (an untapered design), so in a
+    mix those rows get a call of their own, as each gets alone."""
+    first = np.array([spec.thickness_first for spec in specs])
+    last = np.array([spec.thickness_first / spec.thickness_ratio for spec in specs])
+    n_ribs = specs[0].n_ribs
+    flat = (last - first) / (n_ribs - 1) == 0
+    if flat.all() or not flat.any():
+        return np.linspace(first, last, n_ribs).T
+    out = np.empty((n_ribs, len(specs)))
+    for rows in (flat, ~flat):
+        out[:, rows] = np.linspace(first[rows], last[rows], n_ribs)
+    return out.T
 
 
 def spine_segment_thicknesses(spec: SkeletonSpec) -> list[float]:
     """Each rod segment inherits its head-adjacent rib's thickness, mm."""
     return rib_thicknesses(spec)[:-1]
+
+
+def station_key(spec: SkeletonSpec) -> tuple[float, float, int]:
+    """What a spec's rib stations and rib heights depend on: its body length,
+    head fraction and rib count. Specs that differ only in h1:h2 or taper
+    share them, and so their cables' slack lengths."""
+    return spec.body_length, spec.head_fraction, spec.n_ribs
 
 
 def rib_stations(specs, upper: PolyCurve, lower: PolyCurve) -> tuple[np.ndarray, ...]:
@@ -162,7 +185,7 @@ def rib_stations(specs, upper: PolyCurve, lower: PolyCurve) -> tuple[np.ndarray,
     length. Specs with the same body length and head fraction share their
     stations, so each curve is evaluated once per such pair.
     """
-    keys = [(spec.body_length, spec.head_fraction, spec.n_ribs) for spec in specs]
+    keys = list(map(station_key, specs))
     shared = {}
     for length, head_fraction, n_ribs in dict.fromkeys(keys):
         head_x, tip_x = head_fraction * length, length * (1.0 - TIP_MARGIN_FRACTION)

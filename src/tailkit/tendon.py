@@ -19,10 +19,13 @@ cable, whether a single command (``bend_from_cables``) or a run of
 antagonistic ones solved together, as over a swimming period
 (``bend_antagonistic``), comes from a bordered Newton iteration that
 costs O(n_seg) per step; a batch stays as angle and midline arrays. Rows
-of that iteration never mix, so a sweep builds one chain for several
-designs with the same joint count, its arrays carrying a design axis, and
-solves all their phases at once (``bend_antagonistic_stack``), each
-getting the bits it gets alone; a row Newton fails on is solved again
+of that iteration never mix, so a sweep chunk builds one chain per joint
+count, its arrays carrying a design axis, and solves the phases of all its
+designs in one Newton iteration (``bend_antagonistic_stack``): rows of
+different joint counts lie end to end in flat arrays, each row sum runs
+per joint count, and the first step, which the phases of a design's cable
+share but for their targets, is taken once per cable and design. Each
+design gets the bits it gets alone; a row Newton fails on is solved again
 under load continuation. Only a
 command that shortens both cables needs a general root find with load
 continuation, the only use of scipy, imported on that path alone; its
@@ -41,7 +44,13 @@ import numpy as np
 from .errors import ComputationError, ValidationError, require_finite
 from .formats import Fields, number
 from .profile import PolyCurve
-from .skeleton import SkeletonGraph, SkeletonSpec, rib_stations, spine_segment_thicknesses
+from .skeleton import (
+    SkeletonGraph,
+    SkeletonSpec,
+    rib_stations,
+    station_key,
+    taper_thicknesses,
+)
 
 DEFAULT_K_REF = 0.05  # N*m/rad at the reference (first-rib) thickness
 DEFAULT_AMPLITUDE_M = 0.008
@@ -159,7 +168,15 @@ def segment_stiffnesses(spec: SkeletonSpec, k_ref: float = DEFAULT_K_REF) -> lis
     k_ref is a calibration constant; poses depend only on stiffness
     ratios, so its absolute value does not affect kinematics.
     """
-    return _cubic_stiffnesses(spine_segment_thicknesses(spec), spec.thickness_first, k_ref)
+    return stack_stiffnesses([spec], k_ref)[0]
+
+
+def stack_stiffnesses(specs, k_ref: float = DEFAULT_K_REF) -> list[list[float]]:
+    """``segment_stiffnesses`` of each of specs of one rib count, from one
+    taper computation (``skeleton.taper_thicknesses``); each rod segment
+    takes its head-adjacent rib's thickness."""
+    return [_cubic_stiffnesses(t[:-1], spec.thickness_first, k_ref)
+            for spec, t in zip(specs, taper_thicknesses(specs).tolist())]
 
 
 def stiffnesses_from_graph(graph: SkeletonGraph, k_ref: float = DEFAULT_K_REF) -> list[float]:
@@ -193,6 +210,13 @@ def _segment_terms(
     ell = np.sqrt(c - 2.0 * pc)
     d1 = (p * sin - q * cos) / ell
     return ell, d1, (pc - d1**2) / ell
+
+
+def _shortest_segments(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The shortest length of each segment over admissible angles (see
+    ``Chain.min_cable_lengths``), element by element."""
+    bound = MAX_BEND_RAD - 1e-6
+    return _segment_terms(p, q, c, np.clip(np.arctan2(q, p), -bound, bound))[0]
 
 
 def _midlines(theta: np.ndarray, seg_vec: np.ndarray, origin: np.ndarray) -> np.ndarray:
@@ -258,9 +282,11 @@ class Chain:
         bit, the chain of ``generate_skeleton(specs[i], upper, lower)`` routed
         by ``route_cables``, straight from the rib stations."""
         x, y_top, y_spine, y_bottom = rib_stations(specs, upper, lower)
-        slack = ([_polyline_length(*xy) for xy in zip(x.tolist(), y.tolist())]
-                 for y in (y_top, y_bottom))
-        return cls(x, y_top, y_spine, y_bottom, *slack)
+        keys = list(map(station_key, specs))
+        row_of = {key: i for i, key in enumerate(keys)}  # designs of a key share its guide rows
+        slack = {key: [_polyline_length(x[i].tolist(), y[i].tolist()) for y in (y_top, y_bottom)]
+                 for key, i in row_of.items()}
+        return cls(x, y_top, y_spine, y_bottom, *zip(*map(slack.get, keys)))
 
     def rows(self, cable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``p``, ``q`` and ``c`` of cable row ``cable`` (0 top, 1 bottom), or
@@ -283,9 +309,7 @@ class Chain:
         Segment i is shortest at theta_i = atan2(q_i, p_i); on the bounded
         angle range the nearest bound takes its place.
         """
-        bound = MAX_BEND_RAD - 1e-6
-        theta = np.clip(np.arctan2(self.q, self.p), -bound, bound)
-        return np.sum(_segment_terms(self.p, self.q, self.c, theta)[0], axis=-1)
+        return np.sum(_shortest_segments(self.p, self.q, self.c), axis=-1)
 
     def pose(self, theta: np.ndarray) -> TailPose:
         """The pose of one row of joint angles ``theta`` (n_seg,)."""
@@ -304,9 +328,9 @@ def _check_stiffnesses(chain: Chain, stiffnesses) -> np.ndarray:
     return k
 
 
-def _check_travel(chain: Chain, delta_top: float, delta_bottom: float) -> None:
-    # the design with the least slack of a cable passes its limit first
-    least = chain.slack.reshape(2, -1).min(axis=1).tolist()
+def _check_travel(slack: np.ndarray, delta_top: float, delta_bottom: float) -> None:
+    # the design with the least slack (2, ...) of a cable passes its limit first
+    least = slack.reshape(2, -1).min(axis=1).tolist()
     for name, delta, slack in zip(("top", "bottom"), (delta_top, delta_bottom), least):
         if abs(delta) > TRAVEL_LIMIT_FRACTION * slack + 1e-15:
             raise ValidationError(
@@ -403,29 +427,75 @@ def _certify_minimum(chain: Chain, k, theta, lam) -> None:
                                f"Hessian eigenvalue {lowest:.3g})")
 
 
-def _newton(p, q, c, k, stat_tol, target, theta, lam) -> tuple[np.ndarray, np.ndarray]:
-    """Up to ``NEWTON_MAX_ITER`` steps of ``_solve_one_cable``'s iteration on
-    ``theta`` and ``lam``, in place; returns the rows unconverged at the last
-    check and the constraint residuals there."""
-    for _ in range(NEWTON_MAX_ITER):
+class _Rows:
+    """Row reductions of ``_newton`` on 2-D (rows, n_seg) arrays."""
+
+    sum = staticmethod(lambda a: a.sum(axis=1))
+    max = staticmethod(lambda a: a.max(axis=1))
+    expand = staticmethod(lambda v: v[:, None])  # a value per row, over its elements
+    row = staticmethod(lambda a, j: a[j : j + 1])  # row j as a (1, n_seg) view
+
+
+class _RaggedRows:
+    """Row reductions of ``_newton`` on flat arrays holding rows of a few
+    lengths end to end: ``groups`` lists (rows, n_seg) per group, in order.
+
+    Each sum runs per group on a contiguous (rows, n_seg) view, so a row
+    gets the bits it gets in a 2-D array of its own joint count; the maxima
+    (of magnitudes) do not depend on the order, so one call takes them all."""
+
+    def __init__(self, groups):
+        self.views, self.n_rows, e = [], 0, 0
+        for rows, n in groups:
+            self.views.append((slice(self.n_rows, self.n_rows + rows), slice(e, e + rows * n), n))
+            self.n_rows, e = self.n_rows + rows, e + rows * n
+        counts, widths = np.array(groups, dtype=np.intp).T
+        self.widths = np.repeat(widths, counts)  # n_seg of each row
+        self.starts = np.cumsum(self.widths) - self.widths
+
+    def sum(self, a):
+        out = np.empty(self.n_rows)
+        for rows, elems, n in self.views:
+            np.add.reduce(a[elems].reshape(-1, n), axis=1, out=out[rows])
+        return out
+
+    def max(self, a):
+        return np.maximum.reduceat(a, self.starts)
+
+    def expand(self, v):
+        return np.repeat(v, self.widths)
+
+    def row(self, a, j):
+        start = self.starts[j]
+        return a[start : start + self.widths[j]].reshape(1, -1)
+
+
+def _newton(
+    p, q, c, k, stat_tol, target, theta, lam, rows=_Rows, steps=NEWTON_MAX_ITER
+) -> tuple[np.ndarray, np.ndarray]:
+    """Up to ``steps`` steps of ``_solve_one_cable``'s iteration on ``theta``
+    and ``lam``, in place, with ``rows`` reducing the rows; returns the rows
+    unconverged at the last check and the constraint residuals there."""
+    for _ in range(steps):
         ell, d1, d2 = _segment_terms(p, q, c, theta)
-        r = k * theta - lam[:, None] * d1
-        g = ell.sum(axis=1) - target
-        active = ~((np.abs(g) <= CONSTRAINT_TOL_M) & (np.abs(r).max(axis=1) <= stat_tol))
+        lam_e = rows.expand(lam)
+        r = k * theta - lam_e * d1
+        g = rows.sum(ell) - target
+        active = ~((np.abs(g) <= CONSTRAINT_TOL_M) & (rows.max(np.abs(r)) <= stat_tol))
         if not active.any():
             break
-        diag = k - lam[:, None] * d2
+        diag = k - lam_e * d2
         w = d1 / diag
-        dlam = ((w * r).sum(axis=1) - g) / (w * d1).sum(axis=1)
-        dtheta = (dlam[:, None] * d1 - r) / diag
-        np.add(theta, dtheta, out=theta, where=active[:, None])
+        dlam = (rows.sum(w * r) - g) / rows.sum(w * d1)
+        dtheta = (rows.expand(dlam) * d1 - r) / diag
+        np.add(theta, dtheta, out=theta, where=rows.expand(active))
         np.add(lam, dlam, out=lam, where=active)
     return active, g
 
 
 def _solve_one_cable(
     p: np.ndarray, q: np.ndarray, c: np.ndarray, k: np.ndarray, stat_tol: np.ndarray,
-    target: np.ndarray,
+    target: np.ndarray, rows=_Rows, start=None,
 ) -> np.ndarray:
     """Minimum-energy angles of many poses, each with one taut cable.
 
@@ -439,13 +509,19 @@ def _solve_one_cable(
     the diagonal. A row on which this cycles or settles past +-pi/2 (joint
     stiffnesses ~100x apart) is solved again alone, its target ramped from
     the slack length by ``_continue_load``, and must then end inside
-    +-pi/2. Rows never mix, so the rows of several designs with the same
-    joint count can share one call, each getting the bits it gets alone.
+    +-pi/2. Rows never mix, so the rows of many designs can share one call,
+    each getting the bits it gets alone: 2-D arrays by default, or flat ones
+    of several joint counts laid out as ``rows`` (``_RaggedRows``) says.
+    ``start``, if given, is (theta, lam) after the first Newton step, which
+    the caller took in closed form.
     """
-    theta, lam = np.zeros(p.shape), np.zeros(len(target))
-    active, _ = _newton(p, q, c, k, stat_tol, target, theta, lam)
-    for j in (active | (np.abs(theta) >= MAX_BEND_RAD).any(axis=1)).nonzero()[0].tolist():
-        row = [a[j : j + 1] for a in (p, q, c, k, stat_tol)]
+    if start is None:
+        theta, lam, steps = np.zeros(p.shape), np.zeros(len(target)), NEWTON_MAX_ITER
+    else:
+        (theta, lam), steps = start, NEWTON_MAX_ITER - 1
+    active, _ = _newton(p, q, c, k, stat_tol, target, theta, lam, rows, steps)
+    for j in (active | (rows.max(np.abs(theta)) >= MAX_BEND_RAD)).nonzero()[0].tolist():
+        row = [rows.row(a, j) for a in (p, q, c, k)] + [stat_tol[j : j + 1]]
         slack = np.sqrt(row[2] - 2.0 * row[0]).sum(axis=1)
 
         def solve_at(z, frac):
@@ -456,19 +532,10 @@ def _solve_one_cable(
                                        f"steps (constraint residual {abs(g[0]):.2e} m)")
             return theta_j, lam_j
 
-        theta[j] = _continue_load(solve_at, (np.zeros(row[0].shape), np.zeros(1)))[0][0]
-        _check_angle_range(theta[j])
+        theta_j = rows.row(theta, j)
+        theta_j[...] = _continue_load(solve_at, (np.zeros(row[0].shape), np.zeros(1)))[0]
+        _check_angle_range(theta_j)
     return theta
-
-
-def _solve_taut(feasible_min, rows, k, k_max, target: np.ndarray) -> np.ndarray:
-    """``_solve_one_cable`` on ``rows`` (p, q, c), one pose per entry of
-    ``target``, with the checks of every single-taut solve: targets no
-    shorter than ``feasible_min``, and each row's stationarity tolerance
-    scaled by its largest stiffness ``k_max``; the poses it returns lie
-    inside the angle range."""
-    _check_reachable(feasible_min, target)
-    return _solve_one_cable(*rows, k, 1e-9 * k_max, target.ravel())
 
 
 def bend_from_cables(
@@ -480,7 +547,7 @@ def bend_from_cables(
     """Pose of minimum elastic energy under the commanded cable lengths."""
     chain = Chain.from_graph(graph, routing)
     k = _check_stiffnesses(chain, stiffnesses)
-    _check_travel(chain, cmd.delta_top, cmd.delta_bottom)
+    _check_travel(chain.slack, cmd.delta_top, cmd.delta_bottom)
 
     target = np.subtract(chain.slack, (cmd.delta_top, cmd.delta_bottom))
     taut = [cable for cable, delta in enumerate((cmd.delta_top, cmd.delta_bottom)) if delta > 0]
@@ -490,8 +557,9 @@ def bend_from_cables(
         _check_angle_range(theta)
         _certify_minimum(chain, k, theta, lam)
     elif taut:
-        theta = _solve_taut(chain.min_cable_lengths()[taut], chain.rows(taut), k[None],
-                            k.max(keepdims=True), target[taut])[0]
+        _check_reachable(chain.min_cable_lengths()[taut], target[taut])
+        theta = _solve_one_cable(*chain.rows(taut), k[None], 1e-9 * k.max(keepdims=True),
+                                 target[taut])[0]
     else:
         theta = np.zeros(chain.n_seg)
     return chain.pose(theta)
@@ -511,42 +579,96 @@ def bend_antagonistic(
     and midlines (n, n_seg + 1, 2), all solved together; row j is the pose
     ``bend_from_cables`` returns for command j, to solver tolerance.
     """
-    return bend_antagonistic_stack(Chain.from_graph(graph, routing), stiffnesses, deltas)
+    return bend_antagonistic_stack([Chain.from_graph(graph, routing)], [stiffnesses], deltas)[0]
 
 
 def bend_antagonistic_stack(
-    chain: Chain, stiffnesses, deltas: list[float] | tuple[float, ...] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``bend_antagonistic`` for each design of a stacked ``chain`` under the
-    same commands, with ``stiffnesses`` (designs, n_seg).
+    chains, stiffnesses, deltas: list[float] | tuple[float, ...] | np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``bend_antagonistic`` for each design of a chunk under the same
+    commands: ``chains`` holds one stacked ``Chain`` per joint count, and
+    ``stiffnesses`` their stiffnesses, (designs, n_seg) each.
 
-    Each check of the one-design call runs once over the stack, which raises
-    whenever a design alone would; then all taut phases go through one
-    Newton solve. Returns angles (designs, n, n_seg) and midlines (designs,
-    n, n_seg + 1, 2), with no designs axis for a graph's chain; entry i
-    equals, bit for bit, what ``bend_antagonistic`` returns for design i alone.
+    Each check of the one-design call runs once over the chunk, which raises
+    whenever a design alone would; then the taut phases of every chain go
+    through one Newton solve. Returns per chain its angles (designs, n,
+    n_seg) and midlines (designs, n, n_seg + 1, 2), with no designs axis for
+    a graph's chain; entry i equals, bit for bit, what ``bend_antagonistic``
+    returns for design i alone.
     """
-    k = _check_stiffnesses(chain, stiffnesses)
+    ks = [_check_stiffnesses(chain, k) for chain, k in zip(chains, stiffnesses, strict=True)]
     d = np.asarray(deltas, dtype=float)
     if d.ndim != 1 or not np.all(np.isfinite(d)):
         raise ValidationError("antagonistic deltas must be a sequence of finite numbers")
     if d.size:
         worst = float(d[np.argmax(np.abs(d))])
-        _check_travel(chain, worst, -worst)
+        _check_travel(np.concatenate([chain.slack.reshape(2, -1) for chain in chains], axis=1),
+                      worst, -worst)
 
-    n = chain.n_seg
-    theta = np.zeros(k.shape[:-1] + (d.size, n))
+    thetas = [np.zeros(k.shape[:-1] + (d.size, chain.n_seg)) for chain, k in zip(chains, ks)]
     taut = d != 0.0
     if taut.any():
-        cable = np.where(d[taut] > 0, 0, 1)
-        # the rows of chain.rows(cable), and so all below, are phase-major
-        target = (chain.slack[cable].T - np.abs(d[taut])).T  # (taut phases, designs)
-        rows = [r.reshape(-1, n) for r in chain.rows(cable)]
-        k_rows = np.repeat(k[None], cable.size, axis=0).reshape(-1, n)
-        k_max = np.repeat(k.max(axis=-1)[None], cable.size, axis=0).ravel()
-        solved = _solve_taut(chain.min_cable_lengths()[cable], rows, k_rows, k_max, target)
-        theta[..., taut, :] = solved.reshape(target.shape + (n,)).swapaxes(0, -2)
-    return theta, _midlines(theta, chain.seg_vec[..., None, :, :], chain.spine0[..., None, 0, :])
+        for theta, solved in zip(thetas, _solve_antagonistic(chains, ks, d[taut])):
+            theta[..., taut, :] = solved
+    return [(theta, _midlines(theta, chain.seg_vec[..., None, :, :], chain.spine0[..., None, 0, :]))
+            for chain, theta in zip(chains, thetas)]
+
+
+def _solve_antagonistic(chains, ks, d: np.ndarray) -> list[np.ndarray]:
+    """The angles of each chain's designs under the nonzero antagonistic
+    commands ``d``, (designs, phases, n_seg) per chain, from one
+    ``_solve_one_cable`` call over every taut row of the chunk.
+
+    The rows are flat and ragged (``_RaggedRows``): chain after chain, each
+    chain's rows phase-major, as a one-chain call orders them. A row starts
+    from its (cable, design) row of the chains' tables, and the first Newton
+    step from the straight pose, where every phase of a (cable, design)
+    shares the segment terms, the residual r and the sums of the step, is
+    taken once per such row; each phase then pays only for its own target.
+    """
+    cable, stroke = np.where(d > 0, 0, 1), np.abs(d)
+    tables = [[], [], [], [], []]  # p, q, c, k and slack per (cable, design) row
+    row_of, elems_of, strokes, table_groups, groups = [], [], [], [], []
+    n_rows = n_elems = 0
+    for chain, kg in zip(chains, ks):
+        n, designs = chain.n_seg, kg.size // chain.n_seg
+        both_k = np.concatenate((kg, kg))  # each cable's rows meet the same joints
+        for table, a in zip(tables, (chain.p, chain.q, chain.c, both_k, chain.slack)):
+            table.append(a.ravel())
+        u = (cable * designs)[:, None] + np.arange(designs)  # (phases, designs): the table row
+        row_of.append((u + n_rows).ravel())
+        elems_of.append(((u * n + n_elems)[..., None] + np.arange(n)).ravel())
+        strokes.append(np.repeat(stroke, designs))
+        table_groups.append((2 * designs, n))
+        groups.append((u.size, n))
+        n_rows, n_elems = n_rows + 2 * designs, n_elems + 2 * designs * n
+    p, q, c, k, slack, row_of, elems_of, stroke = map(
+        np.concatenate, (*tables, row_of, elems_of, strokes))
+    by_table, rows = _RaggedRows(table_groups), _RaggedRows(groups)
+
+    target = slack[row_of] - stroke
+    _check_reachable(by_table.sum(_shortest_segments(p, q, c))[row_of], target)
+    stat_tol = (1e-9 * by_table.max(k))[row_of]
+
+    # the first step of _newton, from theta = lam = 0: all but the target is
+    # shared by the phases of a (cable, design) row, so it is taken per table row
+    zero = np.zeros(p.shape)
+    ell, d1, d2 = _segment_terms(p, q, c, zero)
+    r, diag = k * zero - zero * d1, k - zero * d2
+    w = d1 / diag
+    ell_sum, wr_sum, wd1_sum = (by_table.sum(a)[row_of] for a in (ell, w * r, w * d1))
+    g = ell_sum - target
+    active = ~((np.abs(g) <= CONSTRAINT_TOL_M) & (by_table.max(np.abs(r))[row_of] <= stat_tol))
+    dlam = (wr_sum - g) / wd1_sum
+    dtheta = (rows.expand(dlam) * d1[elems_of] - r[elems_of]) / diag[elems_of]
+    theta, lam = np.zeros(elems_of.shape), np.zeros(row_of.shape)
+    np.add(theta, dtheta, out=theta, where=rows.expand(active))
+    np.add(lam, dlam, out=lam, where=active)
+
+    theta = _solve_one_cable(p[elems_of], q[elems_of], c[elems_of], k[elems_of], stat_tol,
+                             target, rows, (theta, lam))
+    return [theta[elems].reshape(d.size, -1, n).swapaxes(0, 1).reshape(kg.shape[:-1] + (d.size, n))
+            for (_, elems, n), kg in zip(rows.views, ks)]
 
 
 def cable_lengths(

@@ -774,6 +774,45 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "loaded": [[], []]}
 
+    def test_masked_arrays_never_load(self, tmp_path):
+        """The bundled-profile fit and one operation of each kind run without
+        ``numpy.ma``, in a fresh interpreter: a fit, a design's files, a
+        sweep, a calibrated swim, a log analysis and a single-cable bend."""
+        (tmp_path / "grid.json").write_text('{"n_ribs_values": [4, 5]}')
+        (tmp_path / "power.csv").write_text("t_s,voltage_v,current_a\n0.0,3.7,2.5\n1.0,3.7,2.5\n")
+        (tmp_path / "track.csv").write_text("t_s,x_m\n0.0,0.0\n1.0,0.16\n")
+        script = textwrap.dedent(f"""
+            import contextlib, io, json, os, sys
+            from tailkit import explorer
+            from tailkit.cli import main
+
+            os.chdir({str(tmp_path)!r})
+            explorer.default_curves()
+            loaded = ["numpy.ma" in sys.modules]
+            runs = [
+                ["fit", "--profile", {str(reference_profile_path())!r}, "--out", "fit.json"],
+                ["skeleton", "--preset", "type4", "--out", "skel.json"],
+                ["export", "--skeleton", "skel.json", "--svg", "skel.svg"],
+                ["sweep", "--grid", "grid.json", "--out", "report.csv"],
+                ["swim", "--skeleton", "skel.json", "--calibrate-speed", "0.15"],
+                ["analyze", "--power-log", "power.csv", "--track", "track.csv"],
+                ["bend", "--skeleton", "skel.json", "--delta-top", "0.006",
+                 "--delta-bottom", "-0.006", "--out", "pose.json"],
+            ]
+            codes = []
+            for argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(main(argv))
+                loaded.append("numpy.ma" in sys.modules)
+            print(json.dumps({{"codes": codes, "loaded": loaded}}))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(tailkit.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0] * 7,
+                                                             "loaded": [False] * 8}
+
 
 _NUMBERS = ["0", "-1", "1", "0.5", "0.003", "-0.003", "0.04", "1e-300", "1e300", "nan", "inf",
             "-inf", "x", "", "1_0"]

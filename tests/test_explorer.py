@@ -263,7 +263,7 @@ class TestSweep:
         solve = tendon._solve_one_cable
 
         def counting(*args):
-            calls.append(len(args[-1]))
+            calls.append(len(args[5]))  # the targets, one per taut row
             return solve(*args)
 
         monkeypatch.setattr(tendon, "_solve_one_cable", counting)
@@ -272,9 +272,39 @@ class TestSweep:
                           n_ribs_values=(4, 5))
         records = run_sweep(grid)
         assert all(r.result is not None for r in records)
-        # per rib count, one full stack and one of a single design; 63 of the
-        # 64 phases are taut
-        assert calls == [63 * STACK_SIZE, 63, 63 * STACK_SIZE, 63]
+        # the 34 points sorted by rib count: the 17 at 4 ribs fill the first
+        # chunk and open the second, which the 5-rib points fill and a third
+        # ends; 63 of the 64 phases are taut
+        assert calls == [63 * STACK_SIZE, 63 * STACK_SIZE, 63 * 2]
+
+    @pytest.mark.parametrize("jobs, n_ribs, workers", [
+        (8, (4, 10), None),  # 4 points: one chunk, evaluated in process
+        (8, (4, 5, 6), 2),  # 3 x 6 = 18 points: two chunks, two workers
+        (2, tuple(range(4, 10)), 2),  # 36 points: three chunks, at most two workers
+        (1, (4, 5, 6), None),
+    ])
+    def test_pool_is_sized_to_the_chunks(self, monkeypatch, jobs, n_ribs, workers):
+        started = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        grid = DesignGrid(h1_h2_values=((1.0, 1.0), (1.0, 2.0)), thickness_ratios=(1.0, 2.0, 3.0),
+                          n_ribs_values=n_ribs)
+        records = run_sweep(grid, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert records == run_sweep(grid)
 
     def test_six_stock_combinations(self):
         grid = DesignGrid(n_ribs_values=(4,))
@@ -342,8 +372,9 @@ class TestSweep:
 
 
 class TestStackedEvaluation:
-    """A stack of designs of one rib count gives each design the result it
-    gets alone, bit for bit, and raises exactly when one of them alone does."""
+    """A chunk of designs, of one rib count or of several, gives each design
+    the result it gets alone, bit for bit, and raises exactly when one of
+    them alone does."""
 
     @staticmethod
     def outcomes(specs, amplitude, curves):
@@ -389,6 +420,27 @@ class TestStackedEvaluation:
                     thickness_ratio=rng.uniform(0.2, 4.0)))
             raised += bool(self.assert_stack_agrees(specs, amplitude, curves))
         assert 0 < raised < 100  # both outcomes are exercised
+
+    def test_random_mixed_stacks(self, fitted_curves, monkeypatch):
+        # each design draws its own rib count; at strokes up to 4 cm some rows
+        # need the load continuation and some designs fail
+        continued = []
+        continue_load = tendon._continue_load
+        monkeypatch.setattr(tendon, "_continue_load",
+                            lambda *args: continued.append(1) or continue_load(*args))
+        rng = random.Random(1904)
+        curves = fitted_curves[:2]
+        raised = 0
+        for _ in range(100):
+            amplitude = rng.uniform(0.008, 0.04)
+            specs = []
+            for _ in range(rng.randint(2, 16)):
+                lever = rng.uniform(1.0, 8.0)
+                specs.append(SkeletonSpec(
+                    n_ribs=rng.randint(2, 14), h1_h2=rng.choice([(1.0, lever), (lever, 1.0)]),
+                    thickness_ratio=rng.choice([1.0, rng.uniform(0.2, 4.0)])))
+            raised += bool(self.assert_stack_agrees(specs, amplitude, curves))
+        assert 0 < raised < 100 and continued
 
     @pytest.mark.parametrize("odd, message", [
         (SkeletonSpec(n_ribs=4, head_fraction=0.99), "head region"),

@@ -84,9 +84,10 @@ class TestSampleKinematics:
         designs = [(graph, routing, stiffnesses),
                    (graph2, route_cables(graph2), segment_stiffnesses(other))]
         chain = Chain.from_specs([spec, other], upper, lower)
-        stacked = sample_kinematics_stack(chain, [k for *_, k in designs], AMPLITUDE, FREQUENCY, 32)
+        (stacked,) = sample_kinematics_stack([chain], [[k for *_, k in designs]], AMPLITUDE,
+                                             FREQUENCY, 32)
         assert stacked.midlines.shape == (2, 32, 6, 2)
-        speeds = steady_speeds(stacked, HydroParams())
+        speeds = steady_speeds([stacked], HydroParams())
         for design, midlines, speed in zip(designs, stacked.midlines, speeds):
             alone = sample_kinematics(*design, AMPLITUDE, FREQUENCY, 32)
             assert stacked.period == alone.period

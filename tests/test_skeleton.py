@@ -21,6 +21,7 @@ from tailkit.skeleton import (
     rib_thicknesses,
     six_presets,
     spine_segment_thicknesses,
+    taper_thicknesses,
 )
 
 
@@ -110,6 +111,18 @@ class TestThicknesses:
     def test_two_rib_single_segment(self):
         spec = SkeletonSpec(n_ribs=2, thickness_first=2.2)
         assert spine_segment_thicknesses(spec) == [2.2]
+
+    @pytest.mark.parametrize("ratios", [(1.0, 1.0), (0.3, 1.8, 2.9), (1.0, 1.8, 0.3, 1.0)],
+                             ids=["untapered", "tapered", "mixed"])
+    def test_rows_equal_each_spec_alone(self, ratios):
+        # np.linspace switches every row to its zero-step arithmetic once one
+        # row's step is zero, which moves the last bit of the 1.8 row here,
+        # so an untapered design must not share a call
+        specs = [SkeletonSpec(n_ribs=7, thickness_ratio=r, thickness_first=4.7) for r in ratios]
+        for spec, row in zip(specs, taper_thicknesses(specs)):
+            alone = np.linspace(spec.thickness_first, spec.thickness_first / spec.thickness_ratio,
+                                spec.n_ribs)
+            assert row.tobytes() == alone.tobytes()
 
 
 class TestPresets:

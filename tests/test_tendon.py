@@ -352,11 +352,17 @@ class TestBatchedBend:
             )
 
     def test_stack_equals_each_design_alone(self, preset_designs, fitted_curves):
+        # a chunk of one chain per joint count, solved chain by chain and all at once
         deltas = [actuation_waveform(0.008, 1.5, j / (64 * 1.5)).delta_top for j in range(64)]
-        for n_seg in (3, 9):
-            stack = [d for d in preset_designs if len(d[2]) == n_seg]
-            chain = Chain.from_specs([spec for *_, spec in stack], *fitted_curves[:2])
-            angles, midlines = bend_antagonistic_stack(chain, [k for _, _, k, _ in stack], deltas)
+        stacks = [[d for d in preset_designs if len(d[2]) == n_seg] for n_seg in (3, 9)]
+        chains = [Chain.from_specs([spec for *_, spec in stack], *fitted_curves[:2])
+                  for stack in stacks]
+        stiffnesses = [[k for _, _, k, _ in stack] for stack in stacks]
+        apart = [bend_antagonistic_stack([chain], [k], deltas)[0]
+                 for chain, k in zip(chains, stiffnesses)]
+        together = bend_antagonistic_stack(chains, stiffnesses, deltas)
+        for stack, (angles, midlines) in zip(stacks + stacks, apart + together):
+            n_seg = len(stack[0][2])
             assert angles.shape == (6, 64, n_seg) and midlines.shape == (6, 64, n_seg + 1, 2)
             for (graph, routing, k, _), theta, midline in zip(stack, angles, midlines):
                 alone = bend_antagonistic(graph, routing, deltas, k)
@@ -368,16 +374,16 @@ class TestBatchedBend:
         short = make_symmetric_graph(spacing=0.01)  # slack 0.03 m: travel limit 6 mm
         chain = stacked_chain(rig, (narrow, route_cables(narrow)))
         with pytest.raises(ValidationError, match="expected 3 segment stiffnesses, got 2"):
-            bend_antagonistic_stack(chain, [[0.05, 0.05]] * 2, [0.001])
+            bend_antagonistic_stack([chain], [[[0.05, 0.05]] * 2], [0.001])
         with pytest.raises(ValidationError, match="expected 3 segment stiffnesses, got 3"):
-            bend_antagonistic_stack(chain, [UNIFORM_K], [0.001])  # one row for two designs
+            bend_antagonistic_stack([chain], [[UNIFORM_K]], [0.001])  # one row for two designs
         with pytest.raises(ValidationError, match="must be positive"):
-            bend_antagonistic_stack(chain, [UNIFORM_K, [0.05, -0.05, 0.05]], [0.001])
+            bend_antagonistic_stack([chain], [[UNIFORM_K, [0.05, -0.05, 0.05]]], [0.001])
         with pytest.raises(ComputationError, match="target 0.138 m"):
-            bend_antagonistic_stack(chain, [UNIFORM_K] * 2, [0.001, 0.012])
+            bend_antagonistic_stack([chain], [[UNIFORM_K] * 2], [0.001, 0.012])
         with pytest.raises(ValidationError, match=r"delta_top 0.007 m exceeds .* slack 0.03 m"):
-            bend_antagonistic_stack(stacked_chain(rig, (short, route_cables(short))),
-                                    [UNIFORM_K] * 2, [0.001, 0.007])
+            bend_antagonistic_stack([stacked_chain(rig, (short, route_cables(short)))],
+                                    [[UNIFORM_K] * 2], [0.001, 0.007])
 
     def test_closed_form_min_length_is_grid_minimum(self, rig, type4_design):
         _, graph4, routing4, _ = type4_design
@@ -553,8 +559,8 @@ class TestSinglePoseOracle:
             graph = generate_skeleton(spec, upper, lower)
             designs.append((graph, route_cables(graph), segment_stiffnesses(spec)))
         deltas = [actuation_waveform(0.04, 1.5, j / (64 * 1.5)).delta_top for j in range(64)]
-        stacked, _ = bend_antagonistic_stack(Chain.from_specs(specs, upper, lower),
-                                             [k for *_, k in designs], deltas)
+        ((stacked, _),) = bend_antagonistic_stack([Chain.from_specs(specs, upper, lower)],
+                                                  [[k for *_, k in designs]], deltas)
         graph, routing, k = designs[0]
         angles, _ = bend_antagonistic(graph, routing, deltas, k)
         for delta, theta in zip(deltas, angles):
