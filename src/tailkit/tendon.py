@@ -44,13 +44,7 @@ import numpy as np
 from .errors import ComputationError, ValidationError, require_finite
 from .formats import Fields, number
 from .profile import PolyCurve
-from .skeleton import (
-    SkeletonGraph,
-    SkeletonSpec,
-    rib_stations,
-    station_key,
-    taper_thicknesses,
-)
+from .skeleton import SkeletonGraph, SkeletonSpec, rib_stations, station_key, taper_thicknesses
 
 DEFAULT_K_REF = 0.05  # N*m/rad at the reference (first-rib) thickness
 DEFAULT_AMPLITUDE_M = 0.008
