@@ -63,7 +63,6 @@ from .skeleton import (
     preset,
     rib_thicknesses,
     six_presets,
-    spine_segment_thicknesses,
 )
 from .tendon import (
     ActuationCommand,

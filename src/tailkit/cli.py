@@ -71,8 +71,8 @@ SETTINGS = {
         ("--samples", "n_samples", int, hydro.DEFAULT_N_SAMPLES, "kinematics samples per period"),
     ),
     "sweep": (
-        ("--jobs", "jobs", int, 1, "worker processes; a design takes about 0.3 ms, so a "
-                                   "process pool pays off only from about 200 grid points"),
+        ("--jobs", "jobs", int, 1, "worker processes; a design takes about 0.15 ms, so a "
+                                   "process pool pays off only from about 300 grid points"),
     ),
     "pareto": (), "export": (),
     "analyze": (_MASS,),

@@ -4,10 +4,11 @@ A sweep walks the Cartesian grid of (h1:h2, thickness ratio, rib count),
 evaluates each design with the calibrated hydro surrogate and the power
 model, and collects one record per grid point. The points, sorted by rib
 count, are evaluated in chunks that share one bend solve whatever their
-rib counts, and worker processes, if any, take whole chunks. Failed
-points become error records: they stay in reports (with the reason, in
-the JSON form) but never abort the sweep and are excluded from Pareto
-analysis.
+rib counts, and worker processes, if any, take whole chunks. A chunk
+that raises is split in half, and each half evaluated as a chunk, until
+each failing point stands alone. Failed points become error records:
+they stay in reports (with the reason, in the JSON form) but never abort
+the sweep and are excluded from Pareto analysis.
 
 Simulated numbers and the bundled measured reference values for the six
 stock skeleton types must never be conflated, so every record carries a
@@ -171,23 +172,18 @@ def _evaluate_specs(
     curves: tuple[PolyCurve, PolyCurve],
     mass: float = DERIVED_MASS_KG,
 ) -> list[SwimResult]:
-    """``evaluate_design`` of specs, as one chunk: the specs of each rib
-    count get one chain straight from their rib stations, without a skeleton
-    graph, and one stiffness computation; one kinematics solve serves every
-    chain, and every speed comes from the stacked midlines; raises whenever
-    a design alone would."""
-    order = sorted(range(len(specs)), key=lambda i: specs[i].n_ribs)
-    groups = [[specs[i] for i in run]
-              for _, run in itertools.groupby(order, key=lambda i: specs[i].n_ribs)]
+    """``evaluate_design`` of specs, as one chunk: each run of consecutive
+    specs of one rib count gets one chain straight from their rib stations,
+    without a skeleton graph, and one stiffness computation; one kinematics
+    solve serves every chain, and every speed comes from the stacked
+    midlines; raises whenever a design alone would."""
+    groups = [list(run) for _, run in itertools.groupby(specs, key=lambda spec: spec.n_ribs)]
     histories = sample_kinematics_stack([Chain.from_specs(group, *curves) for group in groups],
                                         list(map(stack_stiffnesses, groups)), amplitude, frequency)
-    speeds = [0.0] * len(specs)
-    for i, speed in zip(order, steady_speeds(histories, hydro)):
-        speeds[i] = speed
     watts = predict_power(power, amplitude, frequency)
     return [
         SwimResult.from_power(speed=speed, power=watts, mass=mass, body_length=spec.body_length)
-        for spec, speed in zip(specs, speeds)
+        for spec, speed in zip(specs, steady_speeds(histories, hydro))
     ]
 
 
@@ -215,28 +211,22 @@ def _grid_points(grid: DesignGrid) -> list[tuple[str, SkeletonSpec]]:
     return points
 
 
-def _evaluate_point(args) -> DesignRecord:
-    label, spec, amplitude, frequency, hydro, power, curves = args
+def _evaluate_stack(points: list[tuple[str, SkeletonSpec]], context: tuple) -> list[DesignRecord]:
+    """A record of each (label, spec) point, all evaluated in ``context``
+    (amplitude, frequency, hydro, power, curves) by one ``_evaluate_specs``
+    call. If that call raises, each half is evaluated the same way, so only
+    a failing design ends up alone, and its error record keeps the exact
+    text ``evaluate_design`` raises for it."""
     try:
-        result = evaluate_design(spec, amplitude, frequency, hydro, power, curves)
-        return DesignRecord(label=label, spec=spec, result=result)
+        results = _evaluate_specs([spec for _, spec in points], *context)
     except Exception as e:  # per-point failures must not abort the sweep
-        return DesignRecord(label=label, spec=spec, result=None, error=str(e))
-
-
-def _evaluate_stack(tasks: list[tuple]) -> list[DesignRecord]:
-    """``_evaluate_point`` of each task, for tasks that share their
-    evaluation context, with one kinematics solve. If any step raises, every
-    point is evaluated alone, so each error record keeps the exact text
-    ``_evaluate_point`` gives it."""
-    try:
-        results = _evaluate_specs([task[1] for task in tasks], *tasks[0][2:])
-    except Exception:
-        return [_evaluate_point(task) for task in tasks]
-    return [
-        DesignRecord(label=task[0], spec=task[1], result=result)
-        for task, result in zip(tasks, results)
-    ]
+        if len(points) == 1:
+            ((label, spec),) = points
+            return [DesignRecord(label=label, spec=spec, result=None, error=str(e))]
+        half = len(points) // 2
+        return _evaluate_stack(points[:half], context) + _evaluate_stack(points[half:], context)
+    return [DesignRecord(label=label, spec=spec, result=result)
+            for (label, spec), result in zip(points, results)]
 
 
 def run_sweep(
@@ -252,18 +242,17 @@ def run_sweep(
     with ``jobs`` > 1 and more than one chunk, the chunks are spread over
     up to that many worker processes, one per chunk at most.
     """
-    resolved = curves if curves is not None else default_curves()
-    amplitude, frequency = grid.actuation
-    tasks = sorted(((label, spec, amplitude, frequency, grid.hydro, grid.power, resolved)
-                    for label, spec in _grid_points(grid)), key=lambda task: task[1].n_ribs)
-    stacks = [tasks[i:i + STACK_SIZE] for i in range(0, len(tasks), STACK_SIZE)]
+    context = (*grid.actuation, grid.hydro, grid.power,
+               curves if curves is not None else default_curves())
+    points = sorted(_grid_points(grid), key=lambda point: point[1].n_ribs)
+    stacks = [points[i:i + STACK_SIZE] for i in range(0, len(points), STACK_SIZE)]
     workers = min(jobs, len(stacks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_evaluate_stack, stacks))
+            done = list(pool.map(_evaluate_stack, stacks, [context] * len(stacks)))
     else:
-        done = [_evaluate_stack(stack) for stack in stacks]
+        done = [_evaluate_stack(stack, context) for stack in stacks]
     return sorted((record for stack in done for record in stack), key=lambda r: r.label)
 
 

@@ -164,11 +164,6 @@ def taper_thicknesses(specs) -> np.ndarray:
     return out.T
 
 
-def spine_segment_thicknesses(spec: SkeletonSpec) -> list[float]:
-    """Each rod segment inherits its head-adjacent rib's thickness, mm."""
-    return rib_thicknesses(spec)[:-1]
-
-
 def station_key(spec: SkeletonSpec) -> tuple[float, float, int]:
     """What a spec's rib stations and rib heights depend on: its body length,
     head fraction and rib count. Specs that differ only in h1:h2 or taper

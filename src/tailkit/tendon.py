@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, ValidationError, require_finite
-from .formats import Fields, number
 from .profile import PolyCurve
 from .skeleton import SkeletonGraph, SkeletonSpec, rib_stations, station_key, taper_thicknesses
 
@@ -97,18 +96,6 @@ class ActuationCommand:
 
     def __post_init__(self):
         require_finite("actuation command", self.delta_top, self.delta_bottom, self.timestamp)
-
-    def to_dict(self) -> dict:
-        return COMMAND_FIELDS.write(self)
-
-    @classmethod
-    def from_dict(cls, d) -> "ActuationCommand":
-        return COMMAND_FIELDS(d, "actuation command JSON: $")
-
-
-COMMAND_FIELDS = Fields(
-    ActuationCommand, ("delta_top", "delta_top_m", number),
-    ("delta_bottom", "delta_bottom_m", number), ("timestamp", "timestamp_s", number))
 
 
 def _guide_ids(graph: SkeletonGraph) -> tuple[list[int], list[int], list[int]]:
@@ -317,8 +304,8 @@ def _check_stiffnesses(chain: Chain, stiffnesses) -> np.ndarray:
         raise ValidationError(
             f"expected {chain.n_seg} segment stiffnesses, got {k.shape[-1] if k.ndim else 1}"
         )
-    if np.any(k <= 0):
-        raise ValidationError("segment stiffnesses must be positive")
+    if not np.all((k > 0) & (k < np.inf)):
+        raise ValidationError("segment stiffnesses must be positive and finite")
     return k
 
 

@@ -228,14 +228,18 @@ class TestGridDocuments:
             assert not out.exists()
 
 
-def _mixed_tasks(grid: DesignGrid) -> list[tuple]:
-    """Every grid point of ``grid`` plus one whose head reaches past the tip,
-    as run_sweep's tasks."""
+def _mixed_points(grid: DesignGrid) -> list[tuple[str, SkeletonSpec]]:
+    """Every (label, spec) point of ``grid`` plus one whose head reaches past
+    the tip."""
     points = explorer._grid_points(grid)
     label, spec = points[0]
     points.append((label + "_head", replace(spec, head_fraction=0.99)))
-    return [(label, spec, *grid.actuation, grid.hydro, grid.power, explorer.default_curves())
-            for label, spec in points]
+    return points
+
+
+def _context(grid: DesignGrid) -> tuple:
+    """The evaluation context run_sweep passes each chunk of ``grid``."""
+    return (*grid.actuation, grid.hydro, grid.power, explorer.default_curves())
 
 
 class TestSweep:
@@ -244,9 +248,10 @@ class TestSweep:
         # fail in the bend solve, and the added point fails before it
         grid = DesignGrid(h1_h2_values=((1.0, 8.0),), thickness_ratios=(0.2, 1.0),
                           n_ribs_values=(4, 12), actuation=(0.03, 1.5))
-        tasks = _mixed_tasks(grid)
-        monkeypatch.setattr(explorer, "_grid_points", lambda g: [task[:2] for task in tasks])
-        alone = sorted((explorer._evaluate_point(task) for task in tasks),
+        points = _mixed_points(grid)
+        monkeypatch.setattr(explorer, "_grid_points", lambda g: points)
+        alone = sorted((record for point in points
+                        for record in explorer._evaluate_stack([point], _context(grid))),
                        key=lambda r: r.label)
         errors = {r.label: r.error for r in alone if r.error is not None}
         assert sorted(errors) == ["h1-8_t0.2_r4", "h1-8_t0.2_r4_head", "h1-8_t1_r4"]
@@ -257,6 +262,36 @@ class TestSweep:
             records = run_sweep(grid, jobs=jobs)
             assert records == alone
             assert emit_report(records, "json") == emit_report(alone, "json")
+
+    def test_failing_design_is_bisected_out_of_its_chunk(self, monkeypatch):
+        grid = DesignGrid(h1_h2_values=((1.0, 1.0), (1.0, 2.0)),
+                          thickness_ratios=tuple(1.0 + j / 4 for j in range(8)),
+                          n_ribs_values=(4,))
+        points = explorer._grid_points(grid)
+        assert len(points) == STACK_SIZE
+        marked_label, marked = points[5]
+        calls = []
+        evaluate_specs = explorer._evaluate_specs
+
+        def failing(specs, *context):
+            calls.append(len(specs))
+            if marked in specs:
+                raise ValidationError("marked design")
+            return evaluate_specs(specs, *context)
+
+        monkeypatch.setattr(explorer, "_evaluate_specs", failing)
+        records = run_sweep(grid)
+        # the chunk, then two halves at each of log2(16) levels; running
+        # every design alone after the chunk would take 17 calls
+        assert len(calls) <= 1 + 2 * 4
+        assert len(records) == STACK_SIZE
+        for record, (label, spec) in zip(records, sorted(points, key=lambda p: p[0])):
+            assert record.label == label and record.spec == spec
+            if label == marked_label:
+                assert record.result is None and record.error == "marked design"
+            else:
+                assert record.error is None
+                assert record.result == evaluate_design(spec, *_context(grid))
 
     def test_one_bend_solve_per_stack(self, monkeypatch):
         calls = []

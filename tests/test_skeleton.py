@@ -20,7 +20,6 @@ from tailkit.skeleton import (
     rib_stations,
     rib_thicknesses,
     six_presets,
-    spine_segment_thicknesses,
     taper_thicknesses,
 )
 
@@ -99,18 +98,6 @@ class TestThicknesses:
         assert ts[0] == first
         assert ts[-1] == first / ratio
         assert all(a > b for a, b in zip(ts, ts[1:]))
-
-    def test_segments_inherit_head_adjacent_rib(self):
-        spec = SkeletonSpec(n_ribs=3, thickness_ratio=3.0, thickness_first=3.0)
-        assert spine_segment_thicknesses(spec) == pytest.approx([3.0, 2.0])
-
-    def test_uniform_segments(self):
-        spec = SkeletonSpec(n_ribs=4, thickness_ratio=1.0)
-        assert len(set(spine_segment_thicknesses(spec))) == 1
-
-    def test_two_rib_single_segment(self):
-        spec = SkeletonSpec(n_ribs=2, thickness_first=2.2)
-        assert spine_segment_thicknesses(spec) == [2.2]
 
     @pytest.mark.parametrize("ratios", [(1.0, 1.0), (0.3, 1.8, 2.9), (1.0, 1.8, 0.3, 1.0)],
                              ids=["untapered", "tapered", "mixed"])

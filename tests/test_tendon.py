@@ -99,6 +99,14 @@ class TestStiffness:
         k = segment_stiffnesses(spec)
         assert k[-1] / k[0] == pytest.approx((1.4 / 3.0) ** 3, rel=1e-12)
 
+    def test_segments_inherit_head_adjacent_rib(self):
+        spec = SkeletonSpec(n_ribs=3, thickness_ratio=3.0, thickness_first=3.0)
+        assert segment_stiffnesses(spec, k_ref=0.05) == pytest.approx([0.05, 0.05 * (2 / 3) ** 3])
+
+    def test_two_rib_single_segment(self):
+        spec = SkeletonSpec(n_ribs=2, thickness_ratio=2.0, thickness_first=2.2)
+        assert segment_stiffnesses(spec, k_ref=0.05) == [0.05]
+
     def test_graph_recovery_matches_spec(self, type4_design):
         spec, graph, _, _ = type4_design
         assert stiffnesses_from_graph(graph) == pytest.approx(segment_stiffnesses(spec))
@@ -338,6 +346,15 @@ class TestBatchedBend:
         narrow = make_symmetric_graph(half_span=0.004)
         with pytest.raises(ComputationError, match="geometric limit"):
             bend_antagonistic(narrow, route_cables(narrow), [0.005, -0.02], UNIFORM_K)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_stiffness_refused(self, rig, bad):
+        # refused before any Newton step, not after the load continuation
+        graph, routing = rig
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            bend_antagonistic(graph, routing, [0.004, -0.004], [bad, 0.05, 0.05])
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            bend_from_cables(graph, routing, ActuationCommand(0.004, -0.004), [0.05, bad, 0.05])
 
     def test_first_short_phase_is_named(self):
         narrow = make_symmetric_graph(half_span=0.004)  # either cable >= 0.1385 m
@@ -635,20 +652,9 @@ class TestWaveform:
             actuation_waveform(0.001, frequency, 0.0)
         assert str(caught.value) == f"frequency {frequency!r} Hz is too high: 2*pi*f overflows"
 
-    def test_command_dict_round_trip(self):
-        cmd = actuation_waveform(0.006, 1.5, 0.123)
-        doc = cmd.to_dict()
-        assert set(doc) == {"delta_top_m", "delta_bottom_m", "timestamp_s"}
-        assert ActuationCommand.from_dict(doc) == cmd
-
     @pytest.mark.parametrize(
         "args", [(float("nan"), 0.0), (0.0, float("-inf")), (0.0, 0.0, float("nan"))]
     )
     def test_non_finite_command_rejected(self, args):
         with pytest.raises(ValidationError, match="finite"):
             ActuationCommand(*args)
-
-    def test_command_dict_validation(self):
-        with pytest.raises(ValidationError) as caught:
-            ActuationCommand.from_dict({"delta_top_m": 0.001})
-        assert str(caught.value) == "actuation command JSON: $.delta_bottom_m is missing"
