@@ -86,6 +86,11 @@ class TestThicknesses:
         spec = SkeletonSpec(n_ribs=2, thickness_ratio=2.0, thickness_first=2.0)
         assert rib_thicknesses(spec) == pytest.approx([2.0, 1.0])
 
+    def test_uniform_segments(self):
+        # each spine segment takes its head-adjacent rib's thickness
+        spec = SkeletonSpec(n_ribs=4, thickness_ratio=1.0)
+        assert len(set(rib_thicknesses(spec)[:-1])) == 1
+
     @given(
         ratio=st.floats(1.01, 10.0),
         n_ribs=st.integers(2, 12),
