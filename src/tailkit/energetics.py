@@ -10,11 +10,16 @@ The robot's mass is not directly known; the default below is derived by
 inverting COT = P/(m*v) at the best design's measured operating point
 (9.33 W, 0.163181 m/s, COT 95) and is flagged as derived wherever it
 appears. Both logs are numeric CSVs, read by ``formats.read_numeric_csv``
-into float arrays that stay arrays through ``MeasurementLog`` to the result.
+(a plain log file straight by ``np.loadtxt``) into float arrays that stay
+arrays through ``MeasurementLog`` to the result. Finite inputs can still
+overflow a double on the way to a mean power, a speed or a cost of
+transport; that is refused with the quantity's name, not passed on as inf
+or NaN.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +145,10 @@ class MeasurementLog:
                 rows = rows.reshape(0, width)
             if rows.ndim != 2 or rows.shape[1] != width:
                 raise ValidationError(f"{name} rows must have {width} values each")
-            # NaN compares false, so a NaN time fails this check too
-            if not np.all(np.diff(rows[:, 0]) > 0):
+            # NaN compares false, so a NaN time fails this check too; a
+            # comparison, unlike np.diff, cannot overflow
+            times = rows[:, 0]
+            if not np.all(times[1:] > times[:-1]):
                 raise ValidationError(f"{name} times must be strictly increasing")
             object.__setattr__(self, name, rows)
 
@@ -154,7 +161,9 @@ def cot(power: float, mass: float, speed: float) -> float:
         raise ValidationError("mass must be positive")
     if speed <= 0:
         raise ValidationError("cost of transport is undefined for speed <= 0")
-    return power / (mass * speed)
+    m_v = mass * speed
+    value = power / m_v if m_v else power / mass / speed  # m*v underflowed to zero
+    return _refuse_overflow("cost of transport", value)
 
 
 def speed_bl(speed: float, body_length: float) -> float:
@@ -186,7 +195,9 @@ def average_power(log: MeasurementLog) -> float:
     if len(log.samples) < 2:
         raise ValidationError("need at least 2 electrical samples")
     t, volts, amps = log.samples.T
-    return float(np.trapezoid(volts * amps, t) / (t[-1] - t[0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        power = float(np.trapezoid(volts * amps, t) / (t[-1] - t[0]))
+    return _refuse_overflow("average power", power)
 
 
 def speed_from_track(log: MeasurementLog) -> float:
@@ -194,9 +205,14 @@ def speed_from_track(log: MeasurementLog) -> float:
     if len(log.track) < 2:
         raise ValidationError("need at least 2 track points")
     (t0, x0), (t1, x1) = log.track[[0, -1]].tolist()
-    if t1 == t0:
-        raise ValidationError("track spans zero elapsed time")
-    return (x1 - x0) / (t1 - t0)
+    return _refuse_overflow("track speed", (x1 - x0) / (t1 - t0))  # times strictly increase
+
+
+def _refuse_overflow(name: str, value: float) -> float:
+    """``value``, unless the finite inputs it came from overflowed a double."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} overflows a double ({value})")
+    return value
 
 
 def load_power_log(source) -> MeasurementLog:

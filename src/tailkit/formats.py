@@ -1,7 +1,10 @@
 """The two generic file formats: numeric CSV and strict JSON.
 
 Numeric CSV (a header row, then rows of finite floats, read into one
-float64 array) carries the profile and both measurement logs. JSON is
+float64 array) carries the profile and both measurement logs. A plain
+file named by its path is read straight by ``np.loadtxt``; file objects,
+and files with quoted fields or whitespace-only rows, go through a
+tolerant text reader, which also words every refusal. JSON is
 strict both ways: writers refuse NaN and infinities, readers refuse the
 NaN/Infinity tokens and numbers that overflow a double, so every
 document is standard JSON (RFC 8259). The report CSV has named, typed
@@ -35,11 +38,50 @@ def read_numeric_csv(source, header: tuple[str, ...]) -> np.ndarray:
     are skipped; fields may be padded with whitespace or quoted. Every
     value must be a finite decimal number; a wrong field count, a
     non-numeric or a non-finite value names its line.
+
+    A path to a plain file (no quote, no whitespace-only row) is read
+    straight by ``np.loadtxt``; every other file, and every file object,
+    goes through ``_read_text``, which gives the same array or refusal.
     """
     if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+        return _read_text(source.read(), header)
+    data = _read_plain(Path(source), header)
+    if data is None:
+        data = _read_text(Path(source).read_text(encoding="utf-8"), header)
+    return data
+
+
+_PEEK_CHARS = 4096
+
+
+def _read_plain(path: Path, header: tuple[str, ...]) -> np.ndarray | None:
+    """The file at ``path`` read by ``np.loadtxt`` in one pass, or None to
+    hand it to ``_read_text``.
+
+    It hands over anything but a regular file (a pipe cannot be opened
+    twice), a header that differs, text that is not UTF-8, a body whose
+    first ``_PEEK_CHARS`` are blank (loadtxt would warn that it holds no
+    data), and every row that loadtxt refuses. Without a quote character a
+    quote is no part of a number, so quoted fields hand over, as do
+    whitespace-only rows. What it accepts, ``_read_text`` accepts alike.
+    """
+    if not path.is_file():
+        return None
+    try:
+        with path.open(encoding="utf-8") as f:
+            if tuple(h.strip() for h in f.readline().rstrip("\n").split(",")) != header:
+                return None
+            if not f.read(_PEEK_CHARS).strip():
+                return None
+        data = np.loadtxt(path, delimiter=",", quotechar=None, comments=None, ndmin=2,
+                          skiprows=1, encoding="utf-8")
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    return data if data.shape[1] == len(header) and np.isfinite(data).all() else None
+
+
+def _read_text(text: str, header: tuple[str, ...]) -> np.ndarray:
+    """The tolerant reader: ``read_numeric_csv`` of the whole ``text``."""
     if not text:
         raise ValidationError("empty CSV")
     if "\r" in text:  # universal newlines for file objects too, so line numbers match an editor's
@@ -48,32 +90,23 @@ def read_numeric_csv(source, header: tuple[str, ...]) -> np.ndarray:
     got = tuple(h.strip() for h in _fields(first, 1))
     if got != header:
         raise ValidationError(f"CSV header must be {','.join(header)}, got {','.join(got)}")
-    rows = body.split("\n")
-    n_rows = len(rows) - rows.count("")
-    data = _loadtxt(rows) if n_rows else None
-    if data is None:  # loadtxt skips empty lines but refuses whitespace-only ones
-        rows = [line for line in rows if line.strip()]
-        if not rows:
-            return np.empty((0, len(header)))
-        n_rows, data = len(rows), _loadtxt(rows)
+    rows = [line for line in body.split("\n") if line.strip()]  # loadtxt refuses whitespace-only
+    if not rows:
+        return np.empty((0, len(header)))
+    try:
+        data = np.loadtxt(rows, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError:
+        data = None
     # fewer rows than lines means a quoted field ran on across a line break;
     # loadtxt closes a quote left open on the last line without complaint
     if (
         data is None
-        or data.shape != (n_rows, len(header))
+        or data.shape != (len(rows), len(header))
         or not np.isfinite(data).all()
         or body.count('"') % 2
     ):
         _raise_first_bad_line(body.split("\n"), len(header))
     return data
-
-
-def _loadtxt(rows: list[str]) -> np.ndarray | None:
-    """``np.loadtxt`` of CSV lines, or None where it refuses them."""
-    try:
-        return np.loadtxt(rows, delimiter=",", quotechar='"', comments=None, ndmin=2)
-    except ValueError:
-        return None
 
 
 def _fields(line: str, lineno: int) -> list[str]:

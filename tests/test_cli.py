@@ -523,6 +523,24 @@ class TestAnalyzeCommand:
         assert captured.err == "error: mass must be positive\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("power_rows, track_rows, mass, message", [
+        ("0,1e200,1e200\n1,1e200,1e200\n", "0,0\n1,1\n", "1", "average power overflows a double (inf)"),
+        ("0,3.7,2\n1,3.7,2\n", "0,1e308\n1e-300,-1e308\n", "1", "track speed overflows a double (-inf)"),
+        ("0,3.7,2\n1,3.7,2\n", "0,0\n1,1e-10\n", "1e-300", "cost of transport overflows a double (inf)"),
+        ("0,3.7,2\n1,3.7,2\n", "0,0\n1,1e-300\n", "1e-300", "cost of transport overflows a double (inf)"),
+    ], ids=["power", "speed", "cot", "cot-underflowed-m-v"])
+    def test_overflowing_log_exits_1_naming_the_quantity(self, tmp_path, capsys, power_rows,
+                                                         track_rows, mass, message):
+        power = tmp_path / "power.csv"
+        power.write_text("t_s,voltage_v,current_a\n" + power_rows)
+        track = tmp_path / "track.csv"
+        track.write_text("t_s,x_m\n" + track_rows)
+        code = main(["analyze", "--power-log", str(power), "--track", str(track), "--mass", mass])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message}\n"  # no numpy warning, no note
+        assert captured.out == ""
+
 
 class TestCliBehavior:
     def test_unknown_flag_exits_1(self, capsys):

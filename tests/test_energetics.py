@@ -72,6 +72,12 @@ class TestCot:
         with pytest.raises(ValidationError, match=f"^{name} must be finite"):
             cot(*args)
 
+    def test_underflowed_mass_times_speed(self):
+        assert 1e-200 * 1e-200 == 0.0
+        assert cot(1e-300, 1e-200, 1e-200) == pytest.approx(1e100, rel=1e-12)
+        with pytest.raises(ValidationError, match=r"^cost of transport overflows a double \(inf\)"):
+            cot(1.0, 1e-200, 1e-200)
+
 class TestSpeedBl:
     def test_best_design_row(self):
         assert speed_bl(0.1631813, 0.3251) == pytest.approx(0.502, abs=0.002)
@@ -178,6 +184,13 @@ class TestAveragePower:
         with pytest.raises(ValidationError, match="increasing"):
             MeasurementLog(samples=((0.0, 3.7, 1.0), (0.0, 3.7, 1.0)))
 
+    @pytest.mark.parametrize("samples", [((0.0, 1e200, 1e200), (1.0, 1e200, 1e200)),
+                                         ((-1e308, 3.7, 1.0), (1e308, 3.7, 1.0))],
+                             ids=["watts", "time-span"])
+    def test_overflow_refused_by_name(self, samples):
+        with pytest.raises(ValidationError, match="^average power overflows a double"):
+            average_power(MeasurementLog(samples=samples))
+
 
     @pytest.mark.parametrize("times", [(0.0, float("nan"), 2.0), (float("nan"), 1.0, 2.0),
                                        (0.0, 1.0, float("nan"))])
@@ -224,6 +237,11 @@ class TestSpeedFromTrack:
     def test_single_point_rejected(self):
         with pytest.raises(ValidationError, match="2 track points"):
             speed_from_track(MeasurementLog(track=((0.0, 0.0),)))
+
+    def test_overflow_refused_by_name(self):
+        log = MeasurementLog(track=((0.0, -1e308), (0.5, 1e308)))
+        with pytest.raises(ValidationError, match=r"^track speed overflows a double \(inf\)"):
+            speed_from_track(log)
 
 
     def test_speed_is_a_python_float(self):

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import re
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailkit
+from tailkit import formats
 from tailkit.errors import ValidationError
 from tailkit.formats import (
     Array,
@@ -36,6 +40,30 @@ _FIELD_TEXT = st.sampled_from([
     lambda v: f'" {v!r} "',
     lambda v: f"{v:.17e}",
 ])
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "log.csv"
+
+
+def read_both(path: Path, text: str, header):
+    """``read_numeric_csv`` of ``text`` from a file object and from a file at
+    ``path``: the two must give the same bytes or the same refusal."""
+    path.write_text(text, encoding="utf-8", newline="")
+    outcomes = []
+    for source in (io.StringIO(text), path):
+        try:
+            outcomes.append(read_numeric_csv(source, header))
+        except ValidationError as e:
+            outcomes.append(e)
+    from_file, from_path = outcomes
+    if isinstance(from_file, ValidationError):
+        assert isinstance(from_path, ValidationError) and str(from_path) == str(from_file)
+        raise from_file
+    assert from_path.dtype == from_file.dtype and from_path.shape == from_file.shape
+    assert from_path.tobytes() == from_file.tobytes()
+    return from_path
 
 
 class TestNumericCsv:
@@ -96,9 +124,73 @@ class TestNumericCsv:
         data = read_numeric_csv(io.StringIO("t_s,x_m\n\n"), HEADER)
         assert data.shape == (0, 2) and data.dtype == np.float64
 
+    @pytest.mark.parametrize("text, expected", [
+        ('t_s,x_m\n"1.5"," -2 "\n', [[1.5, -2.0]]),
+        ('t_s,x_m\n0,0\n1,"2', "line 3: unbalanced quote"),
+        ("t_s,x_m\n1,2\n \t\n\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("t_s,x_m\n", []),
+        ("t_s,x_m", []),
+        ("t_s,x_m\n\n \n\t\n", []),
+        ("t_s,x_m\r1,2\r\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+        ("t_s,x_m\r1,2\r3,x\r", "line 3: non-numeric value in ['3', 'x']"),
+        ("\ufefft_s,x_m\n1,2\n", "CSV header must be t_s,x_m, got \ufefft_s,x_m"),
+    ], ids=["quoted", "unterminated-quote", "whitespace-rows", "header-only", "no-newline",
+            "blank-only", "lone-cr", "lone-cr-refused", "bom"])
+    def test_path_and_file_object_give_the_same_answer(self, csv_path, text, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt's "input contained no data" included
+            if isinstance(expected, str):
+                with pytest.raises(ValidationError) as caught:
+                    read_both(csv_path, text, HEADER)
+                assert str(caught.value) == expected
+            else:
+                data = read_both(csv_path, text, HEADER)
+                assert data.shape == (len(expected), 2) and data.tolist() == expected
+
+    def test_non_utf8_byte_past_the_first_chunk_is_refused_as_text(self, tmp_path):
+        data = "t_s,x_m\n".encode() + b"".join(b"%d,0.5\n" % i for i in range(3000)) + b"1,\xff\n"
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as caught:
+            read_numeric_csv(path, HEADER)
+        with pytest.raises(UnicodeDecodeError) as expected:
+            data.decode("utf-8")
+        assert len(data) > 8192 and str(caught.value) == str(expected.value)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_is_read_once(self, tmp_path):
+        fifo = tmp_path / "log.csv"
+        os.mkfifo(fifo)
+        got = []
+        threads = [threading.Thread(target=fifo.write_text, args=("t_s,x_m\n1,2\n3,4\n",),
+                                    daemon=True),
+                   threading.Thread(target=lambda: got.append(read_numeric_csv(fifo, HEADER)),
+                                    daemon=True)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got[0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_plain_file_from_a_path_skips_the_text_reader(self, tmp_path, monkeypatch):
+        rows = np.random.default_rng(7).standard_normal((500, 3))
+        text = "t_s,voltage_v,current_a\n" + "".join(",".join(map(repr, r)) + "\n"
+                                                 for r in rows.tolist())
+        path = tmp_path / "power.csv"
+        path.write_text(text)
+
+        def refuse(*args):
+            raise AssertionError("the text reader ran")
+
+        monkeypatch.setattr(formats, "_read_text", refuse)
+        assert read_numeric_csv(path, ("t_s", "voltage_v", "current_a")).tobytes() == rows.tobytes()
+        with pytest.raises(AssertionError, match="the text reader ran"):  # the patch does bite
+            read_numeric_csv(io.StringIO(text), ("t_s", "voltage_v", "current_a"))
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_valid_files_parse_like_float(self, data):
+    def test_valid_files_parse_like_float(self, csv_path, data):
         header = data.draw(_HEADERS)
         rows = data.draw(st.lists(st.lists(_FINITE, min_size=len(header), max_size=len(header)),
                                   min_size=1, max_size=25))
@@ -107,16 +199,16 @@ class TestNumericCsv:
             lines.extend(data.draw(st.lists(_BLANK, max_size=2)))
             lines.append(",".join(data.draw(_FIELD_TEXT)(v) for v in row))
             expected.append([float(field) for field in next(csv.reader([lines[-1]]))])
-        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
         text = newline.join(lines) + data.draw(st.sampled_from(["", newline]))
-        got = read_numeric_csv(io.StringIO(text), header)
+        got = read_both(csv_path, text, header)
         expected = np.array(expected)
         assert got.dtype == np.float64 and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()  # bit-identical, -0.0 included
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_one_corruption_names_its_line(self, data):
+    def test_one_corruption_names_its_line(self, csv_path, data):
         header = data.draw(_HEADERS)
         width = len(header)
         rows = data.draw(st.lists(st.lists(_FINITE, min_size=width, max_size=width),
@@ -138,7 +230,7 @@ class TestNumericCsv:
                    "missing": f"expected {width} fields, got {width - 1}",
                    "token": "non-numeric", "non-finite": "non-finite"}[kind]
         with pytest.raises(ValidationError, match=f"^line {lineno}: {message}"):
-            read_numeric_csv(io.StringIO("\n".join(lines) + "\n"), header)
+            read_both(csv_path, "\n".join(lines) + "\n", header)
 
 
 class TestStrictJson:
