@@ -45,10 +45,9 @@ def read_numeric_csv(source, header: tuple[str, ...]) -> np.ndarray:
     """
     if hasattr(source, "read"):
         return _read_text(source.read(), header)
-    data = _read_plain(Path(source), header)
-    if data is None:
-        data = _read_text(Path(source).read_text(encoding="utf-8"), header)
-    return data
+    path = Path(source)
+    data = _read_plain(path, header)
+    return data if data is not None else _read_text(path.read_text(encoding="utf-8"), header)
 
 
 _PEEK_CHARS = 4096
